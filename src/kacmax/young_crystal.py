@@ -181,7 +181,14 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     staircase gamma_ell: containment chains of k diagrams whose color counts
     sum to the staircase budget, checked against the membership predicate.
 
-    The search counts visited states and raises NodeBudgetExceeded beyond
+    Each diagram is generated as a sub-diagram of the one before it (the
+    first as a sub-diagram of a rectangle as deep as the largest budget
+    entry), column by column; a column stops as soon as one more box would
+    push its color past the room the chain has left.  Color counts are
+    length-n tuples indexed by color mod n.
+
+    A state is one extension step of the chain or one generated sub-diagram.
+    The search counts states and raises NodeBudgetExceeded beyond
     `node_budget`; it also refuses up front when the square of the number of
     bounded diagrams already exceeds the budget.
     """
@@ -194,8 +201,7 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
             f"about {math.comb(2 * ell, ell)}^2 chain prefixes at ell={ell}, "
             f"beyond the budget of {node_budget} states"
         )
-    gm = gamma(n, ell, k).m
-    budget = {_symmetric_residue(node, n): gm[node] for node in range(n)}
+    budget = gamma(n, ell, k).m
     visited = [0]
 
     def tick():
@@ -203,68 +209,51 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
         if visited[0] > node_budget:
             raise NodeBudgetExceeded(f"search exceeded {node_budget} states")
 
-    # single diagrams whose counts fit under the budget, with their counts
-    candidates: list[tuple[tuple[int, ...], dict[int, int]]] = []
-
-    def grow(depths, counts):
-        tick()
-        candidates.append((tuple(depths), dict(counts)))
-        cap = depths[-1] if depths else max(budget.values(), default=0)
-        i = len(depths)
-        for d in range(1, cap + 1):
-            added = {}
-            for r in range(1, d + 1):
-                c = _symmetric_residue(i - r + 1, n)
-                added[c] = added.get(c, 0) + 1
-            if any(counts.get(c, 0) + v > budget.get(c, 0) for c, v in added.items()):
-                continue
-            for c, v in added.items():
-                counts[c] = counts.get(c, 0) + v
-            depths.append(d)
-            grow(depths, counts)
-            depths.pop()
-            for c, v in added.items():
-                counts[c] -= v
-    grow([], {})
-
-    total_boxes = ell * ell
+    chain: list[tuple[int, ...]] = []
     results = []
 
-    def dominated(small, big):
-        return len(small) <= len(big) and all(a <= b for a, b in zip(small, big))
-
-    def extend(chain, cum, boxes):
+    def extend(prev, room, left):
+        # chain holds k - left diagrams leaving `room` per color; the next
+        # one is a sub-diagram of prev
         tick()
-        j = len(chain)
-        if j == k:
-            if boxes == total_boxes:
-                ys = tuple(ExtendedYoungDiagram.from_depths(d) for d, _ in chain)
-                assert is_crystal_element(ys, n), ys
-                results.append(ys)
+        if left == 0:
+            # the last diagram had to fill its room exactly, so the counts
+            # sum to the budget
+            ys = tuple(ExtendedYoungDiagram.from_depths(d) for d in chain)
+            assert is_crystal_element(ys, n), ys
+            results.append(ys)
             return
-        prev = chain[-1][0]
-        left = k - j
-        for cand in candidates:
-            depths, counts = cand
-            if not dominated(depths, prev):
-                continue
-            # remaining diagrams are all contained in this one: each missing
-            # color total must still be reachable
-            if any(
-                budget[c] - cum.get(c, 0) - counts.get(c, 0) > (left - 1) * counts.get(c, 0)
-                for c in budget
-            ):
-                continue
-            if any(cum.get(c, 0) + counts.get(c, 0) > budget[c] for c in counts):
-                continue
-            new_cum = dict(cum)
-            for c, v in counts.items():
-                new_cum[c] = new_cum.get(c, 0) + v
-            extend(chain + [cand], new_cum, boxes + sum(counts.values()))
+        counts = [0] * n
+        depths: list[int] = []
 
-    for cand in candidates:
-        depths, counts = cand
-        if any(budget[c] > k * counts.get(c, 0) for c in budget):
-            continue
-        extend([cand], dict(counts), sum(counts.values()))
+        def columns(i):
+            # depths holds columns 0..i-1 of a sub-diagram of prev; take it,
+            # then deepen column i one box at a time
+            tick()
+            # the remaining left-1 diagrams are contained in this one, so
+            # each holds at most v of a color: room - v <= (left-1)*v
+            if all(r <= left * v for r, v in zip(room, counts)):
+                chain.append(tuple(depths))
+                extend(chain[-1], tuple(r - v for r, v in zip(room, counts)), left - 1)
+                chain.pop()
+            if i == len(prev):
+                return
+            cap = min(depths[-1], prev[i]) if depths else prev[0]
+            d = 0
+            while d < cap:
+                c = (i - d) % n  # color of the box below row d of column i
+                if counts[c] == room[c]:
+                    break  # deeper boxes include this one
+                counts[c] += 1
+                d += 1
+                depths.append(d)
+                columns(i + 1)
+                depths.pop()
+            for r in range(d):
+                counts[(i - r) % n] -= 1
+
+        columns(0)
+
+    # every column holds a box, so no diagram is wider than the budget total
+    extend((max(budget),) * sum(budget), budget, k)
     return frozenset(results)

@@ -174,6 +174,17 @@ def test_budget_guard_exit_code(capsys):
     assert "--oracle paths" in err
 
 
+def test_budget_guard_exit_code_during_search(capsys):
+    # the up-front refusal lets this through; the in-search guard stops it
+    code, _, err = run(
+        capsys,
+        "multiplicity", "--ell", "1", "--k", "10",
+        "--oracle", "crystal", "--node-budget", "4",
+    )
+    assert code == 3
+    assert "resource guard" in err
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

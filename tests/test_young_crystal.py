@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacmax.affine_core import gamma
 from kacmax.lattice_paths import count_T
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
@@ -131,6 +135,48 @@ def test_weight_space_accepts_wide_rank():
 def test_node_budget_guard():
     with pytest.raises(NodeBudgetExceeded):
         enumerate_weight_space(16, 3, 8, node_budget=1000)
+
+
+def test_node_budget_guard_fires_during_search():
+    # passes the up-front refusal (comb(2,1)^2 = 4) but a chain of ten
+    # diagrams needs more than four states
+    assert math.comb(2, 1) ** 2 <= 4
+    with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
+        enumerate_weight_space(2, 10, 1, node_budget=4)
+
+
+def _diagrams_up_to(boxes):
+    # every diagram with at most `boxes` boxes, as weakly decreasing depths
+    def parts(left, cap):
+        yield ()
+        for d in range(min(left, cap), 0, -1):
+            for rest in parts(left - d, d):
+                yield (d,) + rest
+
+    return [ExtendedYoungDiagram.from_depths(p) for p in parts(boxes, boxes)]
+
+
+def _weight_space_by_brute_force(n, k, ell):
+    budget = gamma(n, ell, k).m
+    fitting = []
+    for y in _diagrams_up_to(ell * ell):
+        m = diagram_weight(y, n).m
+        if all(v <= b for v, b in zip(m, budget)):
+            fitting.append((y, m))
+    found = set()
+    for tup in itertools.product(fitting, repeat=k):
+        total = tuple(map(sum, zip(*(m for _, m in tup))))
+        ys = tuple(y for y, _ in tup)
+        if total == budget and is_crystal_element(ys, n):
+            found.add(ys)
+    return found
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weight_space_matches_brute_force(ell, k):
+    for n in (2 * ell, 2 * ell + 1):
+        assert enumerate_weight_space(n, k, ell) == _weight_space_by_brute_force(n, k, ell)
 
 
 if __name__ == "__main__":
