@@ -71,6 +71,12 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
+def _require_at_least(flag, value, low):
+    # an empty grid would print only a header and exit 0, which reads as agreement
+    if value < low:
+        raise _UsageError(f"{flag} must be >= {low}, got {value}; the grid would be empty")
+
+
 def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
@@ -171,6 +177,7 @@ def _cmd_multiplicity(args):
 
 
 def _cmd_table(args):
+    _require_at_least("--ell-max", args.ell_max, 1)
     if args.k_min > args.k_max:
         raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     ks = list(range(args.k_min, args.k_max + 1))
@@ -203,6 +210,8 @@ def _verify_mult_cell(cell):
 def _cmd_verify(args):
     bad = 0
     if args.conjecture == "count":
+        _require_at_least("--n-max", args.n_max, 2)
+        _require_at_least("--k-max", args.k_max, 1)
         rows = verify_count_conjecture(args.n_max, args.k_max)
         if args.format == "json":
             _emit_json(
@@ -220,6 +229,8 @@ def _cmd_verify(args):
                 print(f"{n}\t{k}\t{c}\t{f}\t{str(a).lower()}")
         bad = sum(1 for row in rows if not row[4])
     else:
+        _require_at_least("--ell-max", args.ell_max, 1)
+        _require_at_least("--k-max", args.k_max, 2)
         cells = [(ell, k) for ell in range(1, args.ell_max + 1) for k in range(2, args.k_max + 1)]
         rows = _pmap(_verify_mult_cell, cells)
         if args.format == "json":

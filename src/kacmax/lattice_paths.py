@@ -185,39 +185,34 @@ def count_T(ell: int, k: int) -> int:
     """Number of admissible path tuples, via a transfer DP over colors.
 
     A tuple corresponds to a chain of k diagrams whose color counts sum to
-    the full square (ell - |c| cells of color c).  The DP walks colors from
-    ell-1 down to 1-ell; a state is the sorted k-vector of per-diagram counts
-    of the current color.  Moving toward color 0 one component gains a cell
-    (the first member of its tie block, keeping the vector sorted); moving
-    away one component loses a cell (the last member of its tie block).
-    Both endpoints are pinned to the vector (1, 0, ..., 0).
+    the full square (ell - |c| cells of color c).  Walking colors from ell-1
+    toward 0, a state is the sorted k-vector of per-diagram counts of the
+    current color, starting at (1, 0, ..., 0); each step gives one cell to
+    the first member of a tie block, so after the ell-1 up-steps the state
+    is a partition lambda of ell with at most k parts, reached in
+    mult(lambda) = f^lambda ways.  The walk on from color 0 to 1-ell takes a
+    cell from the last member of a tie block, which is exactly an up-step
+    reversed, so mult(lambda) down-walks also return to (1, 0, ..., 0).
+    Hence
+
+        count_T(ell, k) = sum over lambda of mult(lambda)^2,
+
+    with lambda over the partitions of ell into at most k parts.
     """
     if ell < 1 or k < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    start = (1,) + (0,) * (k - 1)
-    cur = {start: 1}
-    for c in range(ell - 1, 1 - ell, -1):
-        nxt = c - 1
+    cur = {(1,) + (0,) * (k - 1): 1}
+    for _ in range(ell - 1):
         new: dict[tuple[int, ...], int] = {}
         for state, mult in cur.items():
-            seen = set()
-            if nxt >= 0:
-                for idx, v in enumerate(state):
-                    if v in seen:
-                        continue
-                    seen.add(v)
+            prev = None
+            for idx, v in enumerate(state):
+                if v != prev:  # the state is non-increasing: first of its tie block
                     t = state[:idx] + (v + 1,) + state[idx + 1:]
                     new[t] = new.get(t, 0) + mult
-            else:
-                for idx in range(k - 1, -1, -1):
-                    v = state[idx]
-                    if v == 0 or v in seen:
-                        continue
-                    seen.add(v)
-                    t = state[:idx] + (v - 1,) + state[idx + 1:]
-                    new[t] = new.get(t, 0) + mult
+                prev = v
         cur = new
-    return cur.get(start, 0)
+    return sum(mult * mult for mult in cur.values())
 
 
 def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import permutations
-from math import factorial
 
 from .lattice_paths import LatticePath
 
@@ -59,20 +58,6 @@ def longest_decreasing(w) -> int:
     return len(tails)
 
 
-def _hook_product_count(shape) -> int:
-    # standard tableaux of the given partition shape, by the hook formula
-    total = sum(shape)
-    prod = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for r in shape[i + 1:] if r > j)
-            prod *= arm + leg + 1
-    count, rem = divmod(factorial(total), prod)
-    assert rem == 0, shape
-    return count
-
-
 def _shapes(total, max_rows, cap=None):
     if total == 0:
         yield ()
@@ -87,10 +72,29 @@ def _shapes(total, max_rows, cap=None):
 
 def count_avoiding(ell: int, k: int) -> int:
     """Permutations of 1..ell with no strictly decreasing subsequence of
-    length k+1, summed over at-most-k-row shapes by the hook formula."""
+    length k+1: the sum of (f^lambda)^2 over shapes lambda of ell with at
+    most k rows.  Each f^lambda comes from the product form of the hook
+    formula, ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where
+    h_i = lambda_i + r - i over the r rows of lambda."""
     if ell < 1 or k < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    return sum(_hook_product_count(sh) ** 2 for sh in _shapes(ell, k))
+    fact = [1]
+    for i in range(1, ell + 1):
+        fact.append(fact[-1] * i)
+    total = 0
+    for shape in _shapes(ell, k):
+        r = len(shape)
+        h = [part + r - 1 - i for i, part in enumerate(shape)]
+        vandermonde = 1
+        den = 1
+        for i, hi in enumerate(h):
+            den *= fact[hi]
+            for hj in h[i + 1:]:
+                vandermonde *= hi - hj
+        count, rem = divmod(fact[ell] * vandermonde, den)
+        assert rem == 0, shape
+        total += count * count
+    return total
 
 
 def count_avoiding_bruteforce(ell: int, k: int) -> int:

@@ -70,6 +70,12 @@ MULT_TABLE = {
 
 CATALAN = (1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
+# (ell, k) -> multiplicity at the size of the benchmark's multiplicity jobs
+WORKLOAD_SCALE = {
+    (42, 7): 11752752321106538759393231453024052438736857302775,
+    (39, 8): 3102297689747485295739173809023035225013254048,
+}
+
 
 def _families_union(s, n, x1, xn1):
     out = set()
@@ -105,13 +111,29 @@ def test_criterion_2_multiplicity_table():
     print("criterion 2 (multiplicity table, ell 2-10 x k 3-9): pass")
 
 
+def test_criterion_2_workload_scale():
+    t0 = time.time()
+    for (ell, k), want in WORKLOAD_SCALE.items():
+        assert count_T(ell, k) == count_avoiding(ell, k) == want, (ell, k)
+    assert time.time() - t0 < 60.0
+    print("criterion 2 (paths = patterns at (42,7) and (39,8)): pass")
+
+
 def test_criterion_3_catalan_column():
     t0 = time.time()
     for ell, want in zip(range(1, 11), CATALAN):
         assert count_T(ell, 2) == want
         assert want == math.comb(2 * ell, ell) // (ell + 1)
+    # closed forms that depend on neither the path DP nor the hook formula:
+    # Catalan numbers at level 2, and every permutation once k >= ell
+    for ell in range(1, 41):
+        catalan = math.comb(2 * ell, ell) // (ell + 1)
+        assert count_T(ell, 2) == count_avoiding(ell, 2) == catalan, ell
+    for ell in range(1, 13):
+        for k in (ell, ell + 1):
+            assert count_T(ell, k) == count_avoiding(ell, k) == math.factorial(ell), (ell, k)
     assert time.time() - t0 < 1.0
-    print("criterion 3 (level-2 column is Catalan, ell <= 10): pass")
+    print("criterion 3 (Catalan at k = 2 for ell <= 40, ell! at k >= ell for ell <= 12): pass")
 
 
 def test_criterion_4_three_routes_agree():

@@ -149,6 +149,17 @@ def test_usage_errors(capsys):
     assert run(capsys, "bijection", "--perm", "321")[0] == 1
     assert run(capsys, "bijection", "--path", "URRU")[0] == 1
     assert run(capsys, "multiplicity", "--ell", "0", "--k", "2")[0] == 1
+    # empty grids: a header with no rows would read as agreement
+    for argv in (
+        ("table", "--ell-max", "0", "--k-max", "3"),
+        ("verify", "--conjecture", "count", "--n-max", "1"),
+        ("verify", "--conjecture", "count", "--k-max", "0"),
+        ("verify", "--conjecture", "multiplicity", "--ell-max", "0"),
+        ("verify", "--conjecture", "multiplicity", "--k-max", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "grid would be empty" in err, argv
 
 
 def test_bad_thread_env(capsys, monkeypatch):
