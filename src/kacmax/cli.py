@@ -4,9 +4,6 @@ Exit codes: 0 on success (and on agreement for the verification commands),
 1 on usage or domain errors, 2 when independently computed values disagree,
 3 when a search refuses to run or runs past its node budget.  Output is
 deterministic; TSV is the default, JSON is available via --format json.
-The KACMAX_THREADS environment variable caps the worker processes used for
-grid commands (1 forces sequential evaluation; results are always assembled
-in a fixed order either way).
 """
 
 from __future__ import annotations
@@ -14,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .maximal_weights import maximal_dominant_weights, verify_count_conjecture
 from .patterns import (
@@ -49,28 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("KACMAX_THREADS")
-    if raw is not None and raw.strip():
-        try:
-            v = int(raw)
-        except ValueError:
-            raise _UsageError(f"KACMAX_THREADS must be an integer, got {raw!r}") from None
-        if v < 1:
-            raise _UsageError(f"KACMAX_THREADS must be >= 1, got {v}")
-        return v
-    return min(4, os.cpu_count() or 1)
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require_at_least(flag, value, low):
     # an empty grid would print only a header and exit 0, which reads as agreement
     if value < low:
@@ -83,19 +56,16 @@ def _emit_json(obj):
 
 # -- multiplicity backends ---------------------------------------------------
 
-def _mult_paths(cell):
-    ell, k, _n, _budget = cell
+def _mult_paths(ell, k, _n, _node_budget):
     return count_T(ell, k)
 
 
-def _mult_patterns(cell):
-    ell, k, _n, _budget = cell
+def _mult_patterns(ell, k, _n, _node_budget):
     return count_avoiding(ell, k)
 
 
-def _mult_crystal(cell):
-    ell, k, n, budget = cell
-    return len(enumerate_weight_space(n, k, ell, node_budget=budget))
+def _mult_crystal(ell, k, n, node_budget):
+    return len(enumerate_weight_space(n, k, ell, node_budget=node_budget))
 
 
 _BACKENDS = {"paths": _mult_paths, "patterns": _mult_patterns, "crystal": _mult_crystal}
@@ -151,8 +121,7 @@ def _cmd_multiplicity(args):
     if n < 2 * args.ell:
         raise _UsageError(f"need n >= {2 * args.ell} for ell={args.ell}, got {n}")
     names = list(_BACKENDS) if args.check_all else [args.oracle]
-    cell = (args.ell, args.k, n, args.node_budget)
-    values = {name: _BACKENDS[name](cell) for name in names}
+    values = {name: _BACKENDS[name](args.ell, args.k, n, args.node_budget) for name in names}
     agree = len(set(values.values())) == 1
     if args.format == "json":
         _emit_json(
@@ -183,9 +152,7 @@ def _cmd_table(args):
     ks = list(range(args.k_min, args.k_max + 1))
     ells = list(range(1, args.ell_max + 1))
     fn = _BACKENDS[args.oracle]
-    cells = [(ell, k, 2 * ell, args.node_budget) for ell in ells for k in ks]
-    flat = _pmap(fn, cells)
-    grid = {(c[0], c[1]): v for c, v in zip(cells, flat)}
+    grid = {(ell, k): fn(ell, k, 2 * ell, args.node_budget) for ell in ells for k in ks}
     if args.format == "json":
         _emit_json(
             {
@@ -200,11 +167,6 @@ def _cmd_table(args):
         for ell in ells:
             print(str(ell) + "\t" + "\t".join(str(grid[(ell, k)]) for k in ks))
     return EXIT_OK
-
-
-def _verify_mult_cell(cell):
-    ell, k = cell
-    return (ell, k, count_T(ell, k), count_avoiding(ell, k))
 
 
 def _cmd_verify(args):
@@ -231,8 +193,11 @@ def _cmd_verify(args):
     else:
         _require_at_least("--ell-max", args.ell_max, 1)
         _require_at_least("--k-max", args.k_max, 2)
-        cells = [(ell, k) for ell in range(1, args.ell_max + 1) for k in range(2, args.k_max + 1)]
-        rows = _pmap(_verify_mult_cell, cells)
+        rows = [
+            (ell, k, count_T(ell, k), count_avoiding(ell, k))
+            for ell in range(1, args.ell_max + 1)
+            for k in range(2, args.k_max + 1)
+        ]
         if args.format == "json":
             _emit_json(
                 {

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kacmax
 from kacmax.cli import main
 
 
@@ -90,12 +94,34 @@ def test_multiplicity_json(capsys):
     }
 
 
+# the table block shown in README.md
+README_TABLE = """\
+ell\tk=2\tk=3\tk=4\tk=5
+1\t1\t1\t1\t1
+2\t2\t2\t2\t2
+3\t5\t6\t6\t6
+4\t14\t23\t24\t24
+5\t42\t103\t119\t120
+6\t132\t513\t694\t719
+"""
+
+
 def test_table_row_of_ones(capsys):
     code, out, _ = run(capsys, "table", "--ell-max", "1", "--k-max", "9")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["ell"] + [f"k={k}" for k in range(2, 10)]
     assert lines[1].split("\t") == ["1"] + ["1"] * 8
+    # the cells are assembled row by row in the order of the header
+    code, out, _ = run(capsys, "table", "--ell-max", "6", "--k-max", "5")
+    assert (code, out) == (0, README_TABLE)
+    code, out, _ = run(capsys, "table", "--ell-max", "6", "--k-max", "5", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["k"] == [2, 3, 4, 5]
+    assert [[row["ell"]] + row["values"] for row in data["rows"]] == [
+        [int(v) for v in line.split("\t")] for line in README_TABLE.splitlines()[1:]
+    ]
 
 
 def test_bijection_perm_to_path(capsys):
@@ -162,18 +188,6 @@ def test_usage_errors(capsys):
         assert "grid would be empty" in err, argv
 
 
-def test_bad_thread_env(capsys, monkeypatch):
-    # the worker pool is only consulted by the grid commands
-    monkeypatch.setenv("KACMAX_THREADS", "zero")
-    assert run(capsys, "table", "--ell-max", "2", "--k-max", "3")[0] == 1
-    monkeypatch.setenv("KACMAX_THREADS", "0")
-    assert run(capsys, "table", "--ell-max", "2", "--k-max", "3")[0] == 1
-    monkeypatch.setenv("KACMAX_THREADS", "1")
-    code, out, _ = run(capsys, "table", "--ell-max", "2", "--k-max", "3")
-    assert code == 0
-    assert lines_of(out)[1:] == ["1\t1\t1", "2\t2\t2"]
-
-
 def test_budget_guard_exit_code(capsys):
     code, _, err = run(
         capsys,
@@ -186,14 +200,32 @@ def test_budget_guard_exit_code(capsys):
 
 
 def test_budget_guard_exit_code_during_search(capsys):
-    # the up-front refusal lets this through; the in-search guard stops it
-    code, _, err = run(
-        capsys,
-        "multiplicity", "--ell", "1", "--k", "10",
-        "--oracle", "crystal", "--node-budget", "4",
+    # the up-front refusal lets these through; the in-search guard stops them
+    for argv in (
+        ("multiplicity", "--ell", "1", "--k", "10", "--oracle", "crystal", "--node-budget", "4"),
+        ("table", "--oracle", "crystal", "--ell-max", "3", "--k-max", "3", "--node-budget", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "resource guard" in err, argv
+        assert out == "", argv
+
+
+def test_cli_imports_no_process_machinery():
+    # a fresh interpreter, because this one may have loaded them for pytest;
+    # every command pays for what importing the CLI loads.  Without the
+    # `concurrent` package its `futures` submodule cannot be loaded either.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kacmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, kacmax.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent') if m in sys.modules))"
     )
-    assert code == 3
-    assert "resource guard" in err
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_help_exits_zero(capsys):
