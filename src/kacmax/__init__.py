@@ -8,6 +8,7 @@ from .lattice_paths import (
     LatticePath,
     PathSequence,
     count_T,
+    count_T_grid,
     enumerate_T,
     is_admissible,
     paths_to_ytuple,
@@ -26,6 +27,7 @@ from .patterns import (
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
+    count_avoiding_grid,
     longest_decreasing,
 )
 from .tuple_sets import enumerate_M, enumerate_S_bruteforce, is_in_I, max_ell
@@ -51,7 +53,9 @@ __all__ = [
     "PathSequence",
     "color_counts",
     "count_T",
+    "count_T_grid",
     "count_avoiding",
+    "count_avoiding_grid",
     "count_formula",
     "bjs_path_to_perm",
     "bjs_perm_to_path",

@@ -12,16 +12,25 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 
 from .maximal_weights import maximal_dominant_weights, verify_count_conjecture
 from .patterns import (
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
+    count_avoiding_grid,
     format_perm,
     parse_perm,
 )
-from .lattice_paths import LatticePath, count_T, parse_paths, paths_to_ytuple, ytuple_to_paths
+from .lattice_paths import (
+    LatticePath,
+    count_T,
+    count_T_grid,
+    parse_paths,
+    paths_to_ytuple,
+    ytuple_to_paths,
+)
 from .tuple_sets import format_x
 from .young_crystal import NodeBudgetExceeded, enumerate_weight_space, parse_diagram
 
@@ -50,25 +59,56 @@ def _require_at_least(flag, value, low):
         raise _UsageError(f"{flag} must be >= {low}, got {value}; the grid would be empty")
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 # -- multiplicity backends ---------------------------------------------------
+# `cell(ell, k, n, node_budget)` gives one multiplicity; `table(ell_max, ks,
+# node_budget)` gives {(ell, k): multiplicity} with n = 2*ell for every
+# 1 <= ell <= ell_max and k in ks (and possibly more cells).
 
 def _mult_paths(ell, k, _n, _node_budget):
     return count_T(ell, k)
+
+
+def _table_paths(ell_max, ks, _node_budget):
+    return count_T_grid(ell_max, ks[-1])
 
 
 def _mult_patterns(ell, k, _n, _node_budget):
     return count_avoiding(ell, k)
 
 
+def _table_patterns(ell_max, ks, _node_budget):
+    return count_avoiding_grid(ell_max, ks[-1])
+
+
 def _mult_crystal(ell, k, n, node_budget):
     return len(enumerate_weight_space(n, k, ell, node_budget=node_budget))
 
 
-_BACKENDS = {"paths": _mult_paths, "patterns": _mult_patterns, "crystal": _mult_crystal}
+def _table_crystal(ell_max, ks, node_budget):
+    return {
+        (ell, k): _mult_crystal(ell, k, 2 * ell, node_budget)
+        for ell in range(1, ell_max + 1)
+        for k in ks
+    }
+
+
+_Backend = namedtuple("_Backend", "cell table")
+_BACKENDS = {
+    "paths": _Backend(_mult_paths, _table_paths),
+    "patterns": _Backend(_mult_patterns, _table_patterns),
+    "crystal": _Backend(_mult_crystal, _table_crystal),
+}
 _CONJECTURAL = {"patterns"}
 
 
@@ -121,7 +161,7 @@ def _cmd_multiplicity(args):
     if n < 2 * args.ell:
         raise _UsageError(f"need n >= {2 * args.ell} for ell={args.ell}, got {n}")
     names = list(_BACKENDS) if args.check_all else [args.oracle]
-    values = {name: _BACKENDS[name](args.ell, args.k, n, args.node_budget) for name in names}
+    values = {name: _BACKENDS[name].cell(args.ell, args.k, n, args.node_budget) for name in names}
     agree = len(set(values.values())) == 1
     if args.format == "json":
         _emit_json(
@@ -147,12 +187,13 @@ def _cmd_multiplicity(args):
 
 def _cmd_table(args):
     _require_at_least("--ell-max", args.ell_max, 1)
+    if args.k_min < 1:
+        raise _UsageError(f"--k-min must be >= 1, got {args.k_min}")
     if args.k_min > args.k_max:
         raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     ks = list(range(args.k_min, args.k_max + 1))
     ells = list(range(1, args.ell_max + 1))
-    fn = _BACKENDS[args.oracle]
-    grid = {(ell, k): fn(ell, k, 2 * ell, args.node_budget) for ell in ells for k in ks}
+    grid = _BACKENDS[args.oracle].table(args.ell_max, ks, args.node_budget)
     if args.format == "json":
         _emit_json(
             {
@@ -193,8 +234,10 @@ def _cmd_verify(args):
     else:
         _require_at_least("--ell-max", args.ell_max, 1)
         _require_at_least("--k-max", args.k_max, 2)
+        paths = count_T_grid(args.ell_max, args.k_max)
+        patterns = count_avoiding_grid(args.ell_max, args.k_max)
         rows = [
-            (ell, k, count_T(ell, k), count_avoiding(ell, k))
+            (ell, k, paths[ell, k], patterns[ell, k])
             for ell in range(1, args.ell_max + 1)
             for k in range(2, args.k_max + 1)
         ]
@@ -271,7 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None, help="defaults to 2*ell")
     p.add_argument("--oracle", choices=sorted(_BACKENDS), default="paths")
     p.add_argument("--check-all", action="store_true", help="run every backend and compare")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
     add_format(p)
     p.set_defaults(func=_cmd_multiplicity)
 
@@ -280,7 +323,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--oracle", choices=sorted(_BACKENDS), default="paths")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
     add_format(p)
     p.set_defaults(func=_cmd_table)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import mul
 
 from .young_crystal import (
     ExtendedYoungDiagram,
@@ -30,6 +31,7 @@ __all__ = [
     "is_admissible",
     "enumerate_T",
     "count_T",
+    "count_T_grid",
     "paths_to_ytuple",
     "ytuple_to_paths",
 ]
@@ -181,6 +183,53 @@ def enumerate_T(ell: int, k: int) -> frozenset:
     return frozenset(out)
 
 
+def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
+    """count_T(ell, k) for every 1 <= ell <= ell_max and 1 <= k <= k_max,
+    from one walk over k_max-vectors.
+
+    A step never lowers a state's number of nonzero parts, so the walk with
+    k-vectors is the walk with k_max-vectors restricted to the states with
+    at most k nonzero parts.  The states are kept apart by that number r;
+    after the steps to ell, the sum of mult^2 over each r is a bucket, and
+    count_T(ell, k) is the sum of the buckets r <= k.
+    """
+    if ell_max < 1 or k_max < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
+    grid: dict[tuple[int, int], int] = {}
+    # by_parts[r] maps each state with r nonzero parts to its mult
+    by_parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(k_max + 1)]
+    by_parts[1][(1,) + (0,) * (k_max - 1)] = 1
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            new: list[dict[tuple[int, ...], int]] = [{} for _ in range(k_max + 1)]
+            for r in range(1, k_max + 1):
+                same = new[r]
+                for state, mult in by_parts[r].items():
+                    s = list(state)
+                    prev = None
+                    for idx in range(r):
+                        v = s[idx]
+                        if v != prev:  # the state is non-increasing: first of its tie block
+                            s[idx] = v + 1
+                            t = tuple(s)
+                            s[idx] = v
+                            same[t] = same.get(t, 0) + mult
+                            prev = v
+                    if r < k_max:
+                        # the first zero takes a box, the zeros after it cannot; the
+                        # state reached has one predecessor with r parts, and the
+                        # steps within r + 1 parts come later, so none is there yet
+                        s[r] = 1
+                        new[r + 1][tuple(s)] = mult
+            by_parts = new
+        total = 0
+        for k in range(1, k_max + 1):
+            mults = by_parts[k].values()
+            total += sum(map(mul, mults, mults))
+            grid[ell, k] = total
+    return grid
+
+
 def count_T(ell: int, k: int) -> int:
     """Number of admissible path tuples, via a transfer DP over colors.
 
@@ -197,22 +246,10 @@ def count_T(ell: int, k: int) -> int:
 
         count_T(ell, k) = sum over lambda of mult(lambda)^2,
 
-    with lambda over the partitions of ell into at most k parts.
+    with lambda over the partitions of ell into at most k parts.  The walk
+    is the one of `count_T_grid`, read at the cell (ell, k).
     """
-    if ell < 1 or k < 1:
-        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    cur = {(1,) + (0,) * (k - 1): 1}
-    for _ in range(ell - 1):
-        new: dict[tuple[int, ...], int] = {}
-        for state, mult in cur.items():
-            prev = None
-            for idx, v in enumerate(state):
-                if v != prev:  # the state is non-increasing: first of its tie block
-                    t = state[:idx] + (v + 1,) + state[idx + 1:]
-                    new[t] = new.get(t, 0) + mult
-                prev = v
-        cur = new
-    return sum(mult * mult for mult in cur.values())
+    return count_T_grid(ell, k)[ell, k]
 
 
 def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ...]:

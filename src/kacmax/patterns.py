@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import permutations
+from math import factorial
 
 from .lattice_paths import LatticePath
 
@@ -20,6 +21,7 @@ __all__ = [
     "format_perm",
     "longest_decreasing",
     "count_avoiding",
+    "count_avoiding_grid",
     "count_avoiding_bruteforce",
     "bjs_perm_to_path",
     "bjs_path_to_perm",
@@ -65,24 +67,19 @@ def _shapes(total, max_rows, cap=None):
     if max_rows == 0:
         return
     top = total if cap is None else min(cap, total)
-    for first in range(top, 0, -1):
+    # max_rows rows of at most `first` boxes each must hold all `total` boxes
+    for first in range(top, -(-total // max_rows) - 1, -1):
         for rest in _shapes(total - first, max_rows - 1, first):
             yield (first,) + rest
 
 
-def count_avoiding(ell: int, k: int) -> int:
-    """Permutations of 1..ell with no strictly decreasing subsequence of
-    length k+1: the sum of (f^lambda)^2 over shapes lambda of ell with at
-    most k rows.  Each f^lambda comes from the product form of the hook
-    formula, ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where
+def _squares_by_rows(ell, max_rows, fact):
+    """by_rows[r] = sum of (f^lambda)^2 over the shapes lambda of ell with
+    exactly r rows, r <= max_rows.  Each f^lambda comes from the product form
+    of the hook formula, ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where
     h_i = lambda_i + r - i over the r rows of lambda."""
-    if ell < 1 or k < 1:
-        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    fact = [1]
-    for i in range(1, ell + 1):
-        fact.append(fact[-1] * i)
-    total = 0
-    for shape in _shapes(ell, k):
+    by_rows = [0] * (max_rows + 1)
+    for shape in _shapes(ell, max_rows):
         r = len(shape)
         h = [part + r - 1 - i for i, part in enumerate(shape)]
         vandermonde = 1
@@ -93,8 +90,34 @@ def count_avoiding(ell: int, k: int) -> int:
                 vandermonde *= hi - hj
         count, rem = divmod(fact[ell] * vandermonde, den)
         assert rem == 0, shape
-        total += count * count
-    return total
+        by_rows[r] += count * count
+    return by_rows
+
+
+def count_avoiding(ell: int, k: int) -> int:
+    """Permutations of 1..ell with no strictly decreasing subsequence of
+    length k+1: the sum of (f^lambda)^2 over shapes lambda of ell with at
+    most k rows, each f^lambda by the product form of the hook formula."""
+    if ell < 1 or k < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
+    return sum(_squares_by_rows(ell, k, [factorial(i) for i in range(ell + 1)]))
+
+
+def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
+    """count_avoiding(ell, k) for every 1 <= ell <= ell_max and
+    1 <= k <= k_max, from one shape pass per ell over the shapes with at
+    most k_max rows: the cell (ell, k) sums the row counts up to k."""
+    if ell_max < 1 or k_max < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
+    fact = [factorial(i) for i in range(ell_max + 1)]
+    grid: dict[tuple[int, int], int] = {}
+    for ell in range(1, ell_max + 1):
+        by_rows = _squares_by_rows(ell, k_max, fact)
+        total = 0
+        for k in range(1, k_max + 1):
+            total += by_rows[k]
+            grid[ell, k] = total
+    return grid
 
 
 def count_avoiding_bruteforce(ell: int, k: int) -> int:

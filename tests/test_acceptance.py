@@ -12,7 +12,13 @@ import time
 
 import pytest
 
-from kacmax.lattice_paths import count_T, enumerate_T, paths_to_ytuple, ytuple_to_paths
+from kacmax.lattice_paths import (
+    count_T,
+    count_T_grid,
+    enumerate_T,
+    paths_to_ytuple,
+    ytuple_to_paths,
+)
 from kacmax.maximal_weights import (
     level2_explicit_weights,
     maximal_dominant_weights,
@@ -24,6 +30,7 @@ from kacmax.patterns import (
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
+    count_avoiding_grid,
     longest_decreasing,
 )
 from kacmax.tuple_sets import enumerate_M, enumerate_S_bruteforce
@@ -107,6 +114,11 @@ def test_criterion_2_multiplicity_table():
     assert count_T(10, 3) == 586590
     assert count_T(9, 4) == 261808
     assert count_T(10, 9) == 3628799
+    # every cell again, from one walk and one shape pass per ell
+    paths, patterns = count_T_grid(10, 9), count_avoiding_grid(10, 9)
+    for ell, row in MULT_TABLE.items():
+        for k, want in zip(range(3, 10), row):
+            assert paths[ell, k] == patterns[ell, k] == want, (ell, k)
     assert time.time() - t0 < 600.0
     print("criterion 2 (multiplicity table, ell 2-10 x k 3-9): pass")
 

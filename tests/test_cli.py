@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +168,17 @@ def test_verify_multiplicity(capsys):
         capsys, "verify", "--conjecture", "multiplicity", "--ell-max", "4", "--k-max", "3"
     )
     assert code == 0
+    # the grid at benchmark size, pinned to the output of the per-cell loop
+    # that computed every cell by its own count_T and count_avoiding call
+    for argv, want in (
+        (("--ell-max", "29", "--k-max", "7"),
+         "c0c4085461c9e0fcf4bc18f340413d57902d69939b419ca4a659c586a1d4b813"),
+        (("--ell-max", "27", "--k-max", "8", "--format", "json"),
+         "15ec44f7c07cae6820615739ee5563e86c09fe61fab39206b016e81eecf9679a"),
+    ):
+        code, out, _ = run(capsys, "verify", "--conjecture", "multiplicity", *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 def test_usage_errors(capsys):
@@ -186,6 +198,18 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "grid would be empty" in err, argv
+    # out-of-range budgets and k; the grid oracles have no per-cell check to trip
+    for argv in (
+        ("multiplicity", "--ell", "3", "--k", "2", "--oracle", "crystal", "--node-budget", "-5"),
+        ("table", "--oracle", "crystal", "--ell-max", "2", "--k-max", "2", "--node-budget", "-5"),
+        ("table", "--ell-max", "3", "--k-max", "3", "--node-budget", "-1"),
+        ("table", "--ell-max", "3", "--k-max", "3", "--k-min", "0"),
+        ("table", "--ell-max", "3", "--k-max", "3", "--k-min", "-1"),
+        ("table", "--oracle", "patterns", "--ell-max", "3", "--k-max", "3", "--k-min", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_budget_guard_exit_code(capsys):

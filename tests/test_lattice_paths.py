@@ -9,6 +9,7 @@ from kacmax.lattice_paths import (
     PathSequence,
     color_counts_below,
     count_T,
+    count_T_grid,
     enumerate_T,
     is_admissible,
     parse_paths,
@@ -71,9 +72,12 @@ def test_catalan_column():
 
 
 def test_enumeration_matches_count():
+    # the grid's columns below k_max come from per-row buckets that a
+    # single count_T call never reads
+    grid = count_T_grid(4, 4)
     for ell in range(1, 5):
         for k in range(2, 5):
-            assert len(enumerate_T(ell, k)) == count_T(ell, k), (ell, k)
+            assert len(enumerate_T(ell, k)) == count_T(ell, k) == grid[ell, k], (ell, k)
 
 
 def test_count_T_single_diagram_column():

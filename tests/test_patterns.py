@@ -10,6 +10,7 @@ from kacmax.patterns import (
     bjs_perm_to_path,
     count_avoiding,
     count_avoiding_bruteforce,
+    count_avoiding_grid,
     format_perm,
     longest_decreasing,
     parse_perm,
@@ -95,9 +96,11 @@ def test_count_avoiding_catalan_for_one_forbidden_letter():
 
 
 def test_hook_count_matches_bruteforce():
+    grid = count_avoiding_grid(6, 4)
     for ell in range(1, 7):
         for k in range(1, 5):
-            assert count_avoiding(ell, k) == count_avoiding_bruteforce(ell, k)
+            want = count_avoiding_bruteforce(ell, k)
+            assert count_avoiding(ell, k) == grid[ell, k] == want, (ell, k)
 
 
 def test_bruteforce_guard():
