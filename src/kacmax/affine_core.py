@@ -14,11 +14,23 @@ from functools import cached_property
 __all__ = [
     "CartanData",
     "AlphaExpansion",
+    "check_params",
     "classical_apply",
     "weight_from_x",
     "gamma",
     "is_dominant",
 ]
+
+
+def check_params(n: int, k: int | None = None, s: int | None = None) -> None:
+    """Raise ValueError unless n >= 2, k >= 1 and 0 <= s < n; k and s are
+    checked only when given."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if k is not None and k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if s is not None and not 0 <= s < n:
+        raise ValueError(f"need 0 <= s < n = {n}, got {s}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +40,7 @@ class CartanData:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"rank parameter n must be at least 2, got {self.n}")
+        check_params(self.n)
 
     def entry(self, i: int, j: int) -> int:
         """Affine Cartan matrix entry a_ij; indices are taken mod n."""
@@ -72,12 +83,7 @@ class AlphaExpansion:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"need level k >= 1, got {self.k}")
-        if not 0 <= self.s < self.n:
-            raise ValueError(f"s must lie in 0..{self.n - 1}, got {self.s}")
+        check_params(self.n, self.k, self.s)
         if len(self.m) != self.n:
             raise ValueError(
                 f"m must have {self.n} entries, got {len(self.m)}"

@@ -27,12 +27,18 @@ from .lattice_paths import (
     LatticePath,
     count_T,
     count_T_grid,
+    is_admissible,
     parse_paths,
     paths_to_ytuple,
     ytuple_to_paths,
 )
 from .tuple_sets import format_x
-from .young_crystal import NodeBudgetExceeded, enumerate_weight_space, parse_diagram
+from .young_crystal import (
+    NodeBudgetExceeded,
+    enumerate_weight_space,
+    is_crystal_element,
+    parse_diagram,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -272,9 +278,13 @@ def _cmd_bijection(args):
     elif args.paths is not None:
         seq = parse_paths(args.paths)
         n = args.n if args.n is not None else 2 * seq.ell
+        if not is_admissible(seq, n):
+            raise _UsageError(f"{seq} is not an admissible path tuple at n={n}")
         ys = paths_to_ytuple(seq, n)
         print(";".join(str(y) for y in ys))
     else:
+        if args.ell is not None and args.ell < 1:
+            raise _UsageError(f"--ell must be >= 1, got {args.ell}")
         ys = tuple(parse_diagram(part) for part in args.ytuple.split(";"))
         boxes = sum(y.boxes for y in ys)
         ell = args.ell if args.ell is not None else math.isqrt(boxes)
@@ -283,6 +293,8 @@ def _cmd_bijection(args):
                 f"diagrams hold {boxes} boxes, not a filled square; pass --ell explicitly"
             )
         n = args.n if args.n is not None else 2 * ell
+        if not is_crystal_element(ys, n):
+            raise _UsageError(f"{args.ytuple} is not a crystal element at n={n}")
         print(str(ytuple_to_paths(ys, ell, n)))
     return EXIT_OK
 

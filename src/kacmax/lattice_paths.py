@@ -7,19 +7,20 @@ its height profile H_1 <= ... <= H_ell records the level of the horizontal
 step crossing each column, so the region below the path holds the bottom
 H_a cells of column a.  A (k-1)-tuple of such paths cuts the square into k
 regions; reading each region as an extended Young diagram recovers a
-containment chain, and admissible tuples are counted by a small per-color
-transfer DP instead of explicit search.
+containment chain.  Admissible tuples are counted by a small per-color
+transfer DP, and listed by reading the crystal search through that
+bijection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from operator import mul
 
 from .young_crystal import (
     ExtendedYoungDiagram,
     color_counts,
+    enumerate_weight_space,
     from_color_counts,
 )
 
@@ -123,64 +124,60 @@ def color_counts_below(p: LatticePath, ell: int, n: int) -> dict[int, int]:
     return counts
 
 
-def is_admissible(seq: PathSequence, n: int) -> bool:
-    """Admissibility of a path tuple: the first path stays weakly below the
-    main diagonal, consecutive below-regions are nested per color, and each
-    region increment t_i is capped by its predecessor and by the remaining
-    per-color room (the first region counts twice), and is unimodal in the
-    color."""
-    ell, k = seq.ell, seq.k
+def _regions(seq: PathSequence, n: int) -> list[dict[int, int]]:
+    """Per-color counts of the k regions (Y_1, ..., Y_k) cut out by a path
+    tuple, over the colors 1-ell..ell-1: Y_1 above the last path, Y_2 below
+    the first, and Y_i between paths i-2 and i-1.  A count is negative where
+    a path dips below the one before it."""
+    ell = seq.ell
     below = [color_counts_below(p, ell, n) for p in seq.paths]
     colors = range(1 - ell, ell)
+    regions = [
+        {c: ell - abs(c) - below[-1].get(c, 0) for c in colors},
+        {c: below[0].get(c, 0) for c in colors},
+    ]
     for prev, cur in zip(below, below[1:]):
-        if any(cur.get(c, 0) < prev.get(c, 0) for c in colors):
-            return False
+        regions.append({c: cur.get(c, 0) - prev.get(c, 0) for c in colors})
+    return regions
+
+
+def is_admissible(seq: PathSequence, n: int) -> bool:
+    """Admissibility of a path tuple: the first path stays weakly below the
+    main diagonal, every region Y_3, ..., Y_k is nonnegative (consecutive
+    below-regions are nested per color), and each region t_i = Y_i (i >= 3)
+    is capped by its predecessor and by the remaining per-color room (the
+    first region t_2 = Y_2 counts twice), and is unimodal in the color."""
+    ys = _regions(seq, n)
     if not seq.paths[0].weakly_below_diagonal:
         return False
-    t = {2: below[0]}
-    for i in range(3, k + 1):
-        t[i] = {c: below[i - 2].get(c, 0) - below[i - 3].get(c, 0) for c in colors}
-    for i in range(3, k + 1):
-        ti, tp = t[i], t[i - 1]
-        for c in colors:
-            spent = t[2].get(c, 0) + sum(t[a].get(c, 0) for a in range(2, i))
-            if ti.get(c, 0) > min(tp.get(c, 0), ell - abs(c) - spent):
+    if any(v < 0 for y in ys[2:] for v in y.values()):
+        return False
+    ell = seq.ell
+    spent = {c: 2 * v for c, v in ys[1].items()}
+    for prev, cur in zip(ys[1:], ys[2:]):
+        for c, v in cur.items():
+            if v > min(prev[c], ell - abs(c) - spent[c]):
                 return False
-        for c in colors:
-            if c != 0 and ti.get(c, 0) > ti.get(c + (1 if c < 0 else -1), 0):
+            if c != 0 and v > cur[c + (1 if c < 0 else -1)]:
                 return False
+        for c, v in cur.items():
+            spent[c] += v
     return True
 
 
-def _all_profiles(ell):
-    return [tuple(h) for h in combinations_with_replacement(range(ell + 1), ell)]
-
-
 def enumerate_T(ell: int, k: int) -> frozenset:
-    """Every admissible path tuple, by direct search over height profiles
-    (the first weakly below the diagonal, each next dominating the last),
-    filtered through `is_admissible`."""
+    """Every admissible path tuple: the crystal elements of weight
+    k*Lambda_0 - gamma_ell at n = 2*ell, sent through `ytuple_to_paths`.
+
+    The search is `enumerate_weight_space` at its default node budget, so
+    large cases raise NodeBudgetExceeded.
+    """
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
     n = 2 * ell
-    profiles = _all_profiles(ell)
-    out = []
-
-    def grow(stack):
-        if len(stack) == k - 1:
-            seq = PathSequence(ell, k, tuple(LatticePath.from_heights(h) for h in stack))
-            if is_admissible(seq, n):
-                out.append(seq)
-            return
-        last = stack[-1]
-        for h in profiles:
-            if all(a >= b for a, b in zip(h, last)):
-                grow(stack + [h])
-
-    for h in profiles:
-        if all(v <= i for i, v in enumerate(h)):
-            grow([h])
-    return frozenset(out)
+    out = frozenset(ytuple_to_paths(ys, ell, n) for ys in enumerate_weight_space(n, k, ell))
+    assert all(is_admissible(seq, n) for seq in out), (ell, k)
+    return out
 
 
 def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
@@ -256,14 +253,11 @@ def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ..
     """The diagram chain (Y_1, ..., Y_k) cut out by a path tuple: Y_2 is the
     region below the first path, Y_i the region between paths i-2 and i-1,
     and Y_1 the region above the last path, each read in place as a diagram.
-    Raises ValueError when some region is not a diagram (inadmissible input).
+    Raises ValueError only when some region is not a diagram; a tuple may
+    cut into diagrams and still not be admissible, which is for
+    `is_admissible` to decide.
     """
-    ell, k = seq.ell, seq.k
-    below = [color_counts_below(p, ell, n) for p in seq.paths]
-    full = {c: ell - abs(c) for c in range(1 - ell, ell)}
-    regions = [{c: full[c] - below[-1].get(c, 0) for c in full}, below[0]]
-    for i in range(3, k + 1):
-        regions.append({c: below[i - 2].get(c, 0) - below[i - 3].get(c, 0) for c in full})
+    regions = _regions(seq, n)
     try:
         return tuple(from_color_counts(r) for r in regions)
     except ValueError as exc:

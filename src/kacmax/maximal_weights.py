@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine_core import AlphaExpansion, weight_from_x
+from .affine_core import AlphaExpansion, check_params, weight_from_x
 from .tuple_sets import enumerate_M
 
 __all__ = [
@@ -53,12 +53,7 @@ def maximal_dominant_weights(n: int, k: int, s: int = 0) -> MaxWeightReport:
     k = 1 gives just the highest weight.  For s = 0 the report also carries
     the conjectured closed-form count and whether the enumeration matches it.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"s must lie in 0..{n - 1}, got {s}")
+    check_params(n, k, s)
     weights = {weight_from_x(n, k, s, (0,) * (n - 1))}
     if k >= 2:
         for a, b in _boundary_pairs(k, s):
@@ -87,8 +82,7 @@ def _totient(d: int) -> int:
 def count_formula(n: int, k: int) -> int:
     """Conjectured count for s = 0: a cyclic average of binomials,
     (1/(n+k)) * sum over d | gcd(n,k) of phi(d) * C((n+k)/d, k/d)."""
-    if n < 2 or k < 1:
-        raise ValueError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    check_params(n, k)
     g = math.gcd(n, k)
     total = sum(
         _totient(d) * math.comb((n + k) // d, k // d)
@@ -102,8 +96,7 @@ def count_formula(n: int, k: int) -> int:
 
 def u_closed_form(n: int) -> int:
     """Level-3, s = 0 count as a quadratic in n (with a shift when 3 | n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_params(n)
     num = (n + 1) * (n + 2) + (4 if n % 3 == 0 else 0)
     q, r = divmod(num, 6)
     assert r == 0, n
@@ -113,8 +106,7 @@ def u_closed_form(n: int) -> int:
 def u_recursive(n: int) -> int:
     """Level-3, s = 0 count via the three-term recursion
     u_m = 2*u_{m-1} - u_{m-2} + e_m with e_m = -1 iff m = 1 (mod 3)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_params(n)
     u_prev, u_cur = 2, 4  # u_2, u_3
     if n == 2:
         return u_prev
@@ -127,10 +119,7 @@ def u_recursive(n: int) -> int:
 def level2_explicit_weights(n: int, s: int) -> tuple[AlphaExpansion, ...]:
     """The level-2 maximal dominant weights in closed form: the highest
     weight plus one staircase family when s = 0, or two when s > 0."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"s must lie in 0..{n - 1}, got {s}")
+    check_params(n, s=s)
     xs = {(0,) * (n - 1)}
     if s == 0:
         for ell in range(1, n // 2 + 1):

@@ -11,9 +11,10 @@ their building blocks are segments with concave differences.
 
 from __future__ import annotations
 
+from .affine_core import check_params
+
 __all__ = [
     "format_x",
-    "parse_x",
     "is_in_I",
     "max_ell",
     "enumerate_M",
@@ -23,19 +24,6 @@ __all__ = [
 
 def format_x(x: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
-
-
-def parse_x(text: str) -> tuple[int, ...]:
-    t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise ValueError(f"tuple text must look like (1,2,1), got {text!r}")
-    inner = t[1:-1].strip()
-    if not inner:
-        raise ValueError("tuple text must contain at least one entry")
-    try:
-        return tuple(int(p) for p in inner.split(","))
-    except ValueError:
-        raise ValueError(f"tuple entries must be integers, got {text!r}") from None
 
 
 def is_in_I(xs: tuple[int, ...], i_min: int, i_max: int, reverse: bool = False) -> bool:
@@ -208,10 +196,7 @@ def _m5(s, n, x1, xn1):
 
 
 def _validate_params(s, n, x1, xn1):
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"s must lie in 0..{n - 1}, got {s}")
+    check_params(n, s=s)
     if x1 < 0 or xn1 < 0:
         raise ValueError(f"boundary entries must be nonnegative, got {x1}, {xn1}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .affine_core import AlphaExpansion, gamma
+from .affine_core import AlphaExpansion, check_params, gamma
 
 __all__ = [
     "ExtendedYoungDiagram",
@@ -20,7 +20,6 @@ __all__ = [
     "color_counts",
     "diagram_weight",
     "from_color_counts",
-    "shift",
     "is_crystal_element",
     "enumerate_weight_space",
     "parse_diagram",
@@ -92,8 +91,7 @@ def _symmetric_residue(v: int, n: int) -> int:
 def color_counts(y: ExtendedYoungDiagram, n: int) -> dict[int, int]:
     """How many boxes of each color the diagram holds, keyed by the
     symmetric residue in (-n/2, n/2]."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_params(n)
     counts: dict[int, int] = {}
     for i, d in enumerate(y.depths):
         for r in range(1, d + 1):
@@ -109,13 +107,6 @@ def diagram_weight(y: ExtendedYoungDiagram, n: int) -> AlphaExpansion:
     for c, cnt in color_counts(y, n).items():
         m[c % n] += cnt
     return AlphaExpansion(n, 1, 0, tuple(m))
-
-
-def shift(y: ExtendedYoungDiagram, n: int) -> tuple[int, ...]:
-    """Raw entries of the diagram shifted up by n.  The implicit columns past
-    the end shift from 0 to n, so the result is not itself a diagram; use
-    it only for entrywise comparisons."""
-    return tuple(v + n for v in y.entries)
 
 
 def from_color_counts(counts: dict[int, int]) -> ExtendedYoungDiagram:
@@ -157,8 +148,7 @@ def is_crystal_element(diagrams, n: int) -> bool:
     k = len(ys)
     if k < 1:
         raise ValueError("need at least one diagram")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_params(n)
     width = max((len(y.entries) for y in ys), default=0) + 2
     for a, b in zip(ys, ys[1:]):
         if any(b.entry(i) < a.entry(i) for i in range(width)):
@@ -192,8 +182,7 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     `node_budget`; it also refuses up front when the square of the number of
     bounded diagrams already exceeds the budget.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    check_params(n, k)
     if not 1 <= ell <= n // 2:
         raise ValueError(f"ell must lie in 1..{n // 2} for n={n}, got {ell}")
     if math.comb(2 * ell, ell) ** 2 > node_budget:

@@ -4,11 +4,62 @@ from hypothesis import given, strategies as st
 from kacmax.affine_core import (
     AlphaExpansion,
     CartanData,
+    check_params,
     classical_apply,
     gamma,
     is_dominant,
     weight_from_x,
 )
+from kacmax.maximal_weights import (
+    count_formula,
+    level2_explicit_weights,
+    maximal_dominant_weights,
+    u_closed_form,
+    u_recursive,
+)
+from kacmax.tuple_sets import enumerate_M, enumerate_S_bruteforce
+from kacmax.young_crystal import (
+    ExtendedYoungDiagram,
+    color_counts,
+    enumerate_weight_space,
+    is_crystal_element,
+)
+
+_Y = ExtendedYoungDiagram.from_entries((-1,))
+
+# each entry point called with n = 1, k = 0 or s = n, wherever it takes that argument
+_OUT_OF_RANGE = {
+    "check_params n": lambda: check_params(1),
+    "check_params k": lambda: check_params(3, 0),
+    "check_params s": lambda: check_params(3, 1, 3),
+    "CartanData n": lambda: CartanData(1),
+    "AlphaExpansion n": lambda: AlphaExpansion(1, 1, 0, (0,)),
+    "AlphaExpansion k": lambda: AlphaExpansion(3, 0, 0, (0, 0, 0)),
+    "AlphaExpansion s": lambda: AlphaExpansion(3, 1, 3, (0, 0, 0)),
+    "maximal_dominant_weights n": lambda: maximal_dominant_weights(1, 2, 0),
+    "maximal_dominant_weights k": lambda: maximal_dominant_weights(3, 0, 0),
+    "maximal_dominant_weights s": lambda: maximal_dominant_weights(3, 2, 3),
+    "count_formula n": lambda: count_formula(1, 2),
+    "count_formula k": lambda: count_formula(3, 0),
+    "u_closed_form n": lambda: u_closed_form(1),
+    "u_recursive n": lambda: u_recursive(1),
+    "level2_explicit_weights n": lambda: level2_explicit_weights(1, 0),
+    "level2_explicit_weights s": lambda: level2_explicit_weights(3, 3),
+    "enumerate_M n": lambda: enumerate_M(5, 0, 1, 0, 0),
+    "enumerate_M s": lambda: enumerate_M(5, 3, 3, 0, 0),
+    "enumerate_S_bruteforce n": lambda: enumerate_S_bruteforce(1, 0, 0, 0),
+    "enumerate_S_bruteforce s": lambda: enumerate_S_bruteforce(3, 3, 0, 0),
+    "color_counts n": lambda: color_counts(_Y, 1),
+    "is_crystal_element n": lambda: is_crystal_element((_Y,), 1),
+    "enumerate_weight_space n": lambda: enumerate_weight_space(1, 1, 1),
+    "enumerate_weight_space k": lambda: enumerate_weight_space(4, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_entry_points_reject_out_of_range_params(case):
+    with pytest.raises(ValueError, match=r"^need "):
+        _OUT_OF_RANGE[case]()
 
 
 def test_cartan_entries_generic():

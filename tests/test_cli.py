@@ -210,6 +210,19 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
+    # input outside the path/diagram bijection's domain
+    for argv in (
+        ("bijection", "--paths", "RRUU;RURU"),
+        ("bijection", "--paths", "UR"),
+        ("bijection", "--ytuple", "[];[-1]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:"), argv
+    for ell in ("0", "-1"):
+        code, out, err = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]", "--ell", ell)
+        assert (code, out) == (1, ""), ell
+        assert "--ell must be >= 1" in err, ell
 
 
 def test_budget_guard_exit_code(capsys):

@@ -16,6 +16,7 @@ from kacmax.lattice_paths import (
     paths_to_ytuple,
     ytuple_to_paths,
 )
+from kacmax.young_crystal import NodeBudgetExceeded, is_crystal_element
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -91,37 +92,59 @@ def test_smallest_triangles_frozen():
     assert got == ["RRUU;RRUU", "RURU;RURU"]
 
 
+def _all_paths(ell):
+    return [
+        LatticePath.from_heights(hs)
+        for hs in itertools.combinations_with_replacement(range(ell + 1), ell)
+    ]
+
+
 def test_admissibility_filter_is_the_whole_story():
-    # second route: filter every dominating tuple of below-diagonal paths
-    for ell in (2, 3):
-        for k in (2, 3):
-            below = [
-                LatticePath.from_heights(hs)
-                for hs in itertools.product(*[range(0, a + 1) for a in range(ell)])
-                if all(h2 >= h1 for h1, h2 in itertools.pairwise(hs))
-            ]
-            byheights = {p.heights: p for p in below}
-            all_paths = [
-                LatticePath.from_heights(hs)
-                for hs in itertools.combinations_with_replacement(range(ell + 1), ell)
-            ]
+    # reference: filter every dominating tuple of paths whose first path is
+    # weakly below the diagonal through is_admissible.  It must give the set
+    # enumerate_T reads off the crystal search, and the number count_T gives.
+    grid = count_T_grid(4, 4)
+    for ell in (1, 2, 3, 4):
+        all_paths = _all_paths(ell)
+        for k in (2, 3, 4):
             tuples = []
-            for first in below:
-                pools = [first]
-                stack = [(1, (first,))]
-                while stack:
-                    depth, chosen = stack.pop()
-                    if depth == k - 1:
-                        tuples.append(PathSequence(ell, k, chosen))
-                        continue
-                    for cand in all_paths:
-                        if all(
-                            ch >= ph
-                            for ch, ph in zip(cand.heights, chosen[-1].heights)
-                        ):
-                            stack.append((depth + 1, chosen + (cand,)))
+            stack = [(p,) for p in all_paths if p.weakly_below_diagonal]
+            while stack:
+                chosen = stack.pop()
+                if len(chosen) == k - 1:
+                    tuples.append(PathSequence(ell, k, chosen))
+                    continue
+                for cand in all_paths:
+                    if all(ch >= ph for ch, ph in zip(cand.heights, chosen[-1].heights)):
+                        stack.append(chosen + (cand,))
             kept = {str(t) for t in tuples if is_admissible(t, 2 * ell)}
             assert kept == {str(t) for t in enumerate_T(ell, k)}, (ell, k)
+            assert len(kept) == grid[ell, k], (ell, k)
+
+
+_BIJECTION_CASES = [
+    (ell, k, n) for ell in (1, 2, 3) for k in (2, 3, 4) for n in (2 * ell, 2 * ell + 1)
+] + [(4, k, 8) for k in (2, 3)]
+
+
+@pytest.mark.parametrize("ell,k,n", _BIJECTION_CASES)
+def test_bijection_theorem_elementwise(ell, k, n):
+    # over every (k-1)-tuple of paths, admissible tuples are exactly those
+    # whose regions form a crystal element, and the inverse gives them back
+    members = 0
+    for chosen in itertools.product(_all_paths(ell), repeat=k - 1):
+        seq = PathSequence(ell, k, chosen)
+        try:
+            ys = paths_to_ytuple(seq, n)
+        except ValueError:
+            assert not is_admissible(seq, n), str(seq)
+            continue
+        admissible = is_admissible(seq, n)
+        assert admissible == is_crystal_element(ys, n), str(seq)
+        if admissible:
+            assert ytuple_to_paths(ys, ell, n) == seq, str(seq)
+            members += 1
+    assert members == count_T(ell, k)
 
 
 def test_paths_to_diagrams_frozen():
@@ -154,6 +177,23 @@ def test_inadmissible_tuples_rejected():
     assert not is_admissible(bad2, 4)
     with pytest.raises(ValueError):
         paths_to_ytuple(bad2, 4)
+    # cuts into diagrams, yet the third region outgrows the second
+    bad3 = parse_paths("RRUU;RURU")
+    assert not is_admissible(bad3, 4)
+    assert [str(y) for y in paths_to_ytuple(bad3, 4)] == ["[-2,-1]", "[]", "[-1]"]
+    # nested and unimodal, but at color 0 the regions Y_2, Y_3, Y_4 hold
+    # 2, 1, 1 cells: with Y_2 counted twice that is 5 before Y_4, leaving no
+    # room in the 5 cells of that color
+    bad4 = parse_paths("RURRURUURU;RUURURURRU;RUUUURRRRU")
+    assert not is_admissible(bad4, 10)
+    assert not is_crystal_element(paths_to_ytuple(bad4, 10), 10)
+
+
+def test_enumeration_inherits_the_crystal_budget():
+    with pytest.raises(NodeBudgetExceeded):
+        enumerate_T(8, 3)
+    with pytest.raises(ValueError):
+        enumerate_T(3, 1)
 
 
 @settings(max_examples=50, deadline=None)

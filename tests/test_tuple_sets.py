@@ -10,7 +10,6 @@ from kacmax.tuple_sets import (
     format_x,
     is_in_I,
     max_ell,
-    parse_x,
 )
 
 # family-5 columns of the level-3 boundary table, frozen by hand
@@ -46,12 +45,6 @@ def test_family5_level3_table():
 
 def test_format_parse_roundtrip():
     assert format_x((1, 2, 3, 2, 1)) == "(1,2,3,2,1)"
-    assert parse_x("(1,2,3,2,1)") == (1, 2, 3, 2, 1)
-    assert parse_x(" (0) ") == (0,)
-    with pytest.raises(ValueError):
-        parse_x("1,2,3")
-    with pytest.raises(ValueError):
-        parse_x("()")
 
 
 def test_is_in_I():

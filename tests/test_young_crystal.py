@@ -15,7 +15,6 @@ from kacmax.young_crystal import (
     from_color_counts,
     is_crystal_element,
     parse_diagram,
-    shift,
 )
 
 
@@ -26,7 +25,6 @@ def test_fifteen_box_example():
     }
     assert diagram_weight(y, 8).m == (3, 2, 2, 2, 1, 1, 2, 2)
     assert str(y) == "[-4,-4,-3,-2,-2]"
-    assert shift(y, 8) == (4, 4, 5, 6, 6)
 
 
 def test_entry_validation():
