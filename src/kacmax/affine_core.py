@@ -8,8 +8,7 @@ Everything in this package is exact integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 __all__ = [
     "CartanData",
@@ -33,14 +32,14 @@ def check_params(n: int, k: int | None = None, s: int | None = None) -> None:
         raise ValueError(f"need 0 <= s < n = {n}, got {s}")
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(namedtuple("CartanData", "n")):
     """Affine Cartan matrix of the rank-(n-1) cyclic type, nodes 0..n-1."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_params(self.n)
+    def __new__(cls, n: int) -> "CartanData":
+        check_params(n)
+        return super().__new__(cls, n)
 
     def entry(self, i: int, j: int) -> int:
         """Affine Cartan matrix entry a_ij; indices are taken mod n."""
@@ -56,15 +55,14 @@ class CartanData:
             return -1
         return 0
 
-    @cached_property
+    @property
     def classical_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The (n-1) x (n-1) submatrix on nodes 1..n-1."""
         rng = range(1, self.n)
         return tuple(tuple(self.entry(i, j) for j in rng) for i in rng)
 
 
-@dataclass(frozen=True, order=True)
-class AlphaExpansion:
+class AlphaExpansion(namedtuple("AlphaExpansion", "n k s m")):
     """The weight (k-1)*Lambda_0 + Lambda_s - sum_i m_i*alpha_i.
 
     Attributes:
@@ -73,21 +71,17 @@ class AlphaExpansion:
         s: index of the second fundamental-weight summand (0 means k*Lambda_0).
         m: coefficients of the simple roots subtracted from the highest weight.
 
-    Ordering is lexicographic on (n, k, s, m), so sorting a batch of weights
-    that share (n, k, s) orders them by m.
+    A named tuple, so ordering is lexicographic on (n, k, s, m): sorting a
+    batch of weights that share (n, k, s) orders them by m.
     """
 
-    n: int
-    k: int
-    s: int
-    m: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_params(self.n, self.k, self.s)
-        if len(self.m) != self.n:
-            raise ValueError(
-                f"m must have {self.n} entries, got {len(self.m)}"
-            )
+    def __new__(cls, n: int, k: int, s: int, m: tuple[int, ...]) -> "AlphaExpansion":
+        check_params(n, k, s)
+        if len(m) != n:
+            raise ValueError(f"m must have {n} entries, got {len(m)}")
+        return super().__new__(cls, n, k, s, m)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -4,6 +4,10 @@ Exit codes: 0 on success (and on agreement for the verification commands),
 1 on usage or domain errors, 2 when independently computed values disagree,
 3 when a search refuses to run or runs past its node budget.  Output is
 deterministic; TSV is the default, JSON is available via --format json.
+
+Each command imports the library modules it runs when it runs, so a
+max-weights job never compiles the multiplicity routes and a multiplicity
+job never compiles the tuple sets.
 """
 
 from __future__ import annotations
@@ -13,32 +17,6 @@ import json
 import math
 import sys
 from collections import namedtuple
-
-from .maximal_weights import maximal_dominant_weights, verify_count_conjecture
-from .patterns import (
-    bjs_path_to_perm,
-    bjs_perm_to_path,
-    count_avoiding,
-    count_avoiding_grid,
-    format_perm,
-    parse_perm,
-)
-from .lattice_paths import (
-    LatticePath,
-    count_T,
-    count_T_grid,
-    is_admissible,
-    parse_paths,
-    paths_to_ytuple,
-    ytuple_to_paths,
-)
-from .tuple_sets import format_x
-from .young_crystal import (
-    NodeBudgetExceeded,
-    enumerate_weight_space,
-    is_crystal_element,
-    parse_diagram,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,22 +60,32 @@ def _emit_json(obj):
 # 1 <= ell <= ell_max and k in ks (and possibly more cells).
 
 def _mult_paths(ell, k, _n, _node_budget):
+    from .lattice_paths import count_T
+
     return count_T(ell, k)
 
 
 def _table_paths(ell_max, ks, _node_budget):
+    from .lattice_paths import count_T_grid
+
     return count_T_grid(ell_max, ks[-1])
 
 
 def _mult_patterns(ell, k, _n, _node_budget):
+    from .patterns import count_avoiding
+
     return count_avoiding(ell, k)
 
 
 def _table_patterns(ell_max, ks, _node_budget):
+    from .patterns import count_avoiding_grid
+
     return count_avoiding_grid(ell_max, ks[-1])
 
 
 def _mult_crystal(ell, k, n, node_budget):
+    from .young_crystal import enumerate_weight_space
+
     return len(enumerate_weight_space(n, k, ell, node_budget=node_budget))
 
 
@@ -119,6 +107,9 @@ _CONJECTURAL = {"patterns"}
 
 
 def _cmd_max_weights(args):
+    from .maximal_weights import maximal_dominant_weights
+    from .tuple_sets import format_x
+
     rep = maximal_dominant_weights(args.n, args.k, args.s)
     if args.format == "json":
         _emit_json(
@@ -139,6 +130,8 @@ def _cmd_max_weights(args):
 
 
 def _cmd_count(args):
+    from .maximal_weights import maximal_dominant_weights
+
     rep = maximal_dominant_weights(args.n, args.k, args.s)
     if args.format == "json":
         _emit_json(
@@ -219,6 +212,8 @@ def _cmd_table(args):
 def _cmd_verify(args):
     bad = 0
     if args.conjecture == "count":
+        from .maximal_weights import verify_count_conjecture
+
         _require_at_least("--n-max", args.n_max, 2)
         _require_at_least("--k-max", args.k_max, 1)
         rows = verify_count_conjecture(args.n_max, args.k_max)
@@ -238,6 +233,9 @@ def _cmd_verify(args):
                 print(f"{n}\t{k}\t{c}\t{f}\t{str(a).lower()}")
         bad = sum(1 for row in rows if not row[4])
     else:
+        from .lattice_paths import count_T_grid
+        from .patterns import count_avoiding_grid
+
         _require_at_least("--ell-max", args.ell_max, 1)
         _require_at_least("--k-max", args.k_max, 2)
         paths = count_T_grid(args.ell_max, args.k_max)
@@ -269,6 +267,16 @@ def _cmd_verify(args):
 
 
 def _cmd_bijection(args):
+    from .lattice_paths import (
+        LatticePath,
+        is_admissible,
+        parse_paths,
+        paths_to_ytuple,
+        ytuple_to_paths,
+    )
+    from .patterns import bjs_path_to_perm, bjs_perm_to_path, format_perm, parse_perm
+    from .young_crystal import is_crystal_element, parse_diagram
+
     if args.perm is not None:
         path = bjs_perm_to_path(parse_perm(args.perm))
         print(path.moves)
@@ -287,6 +295,8 @@ def _cmd_bijection(args):
             raise _UsageError(f"--ell must be >= 1, got {args.ell}")
         ys = tuple(parse_diagram(part) for part in args.ytuple.split(";"))
         boxes = sum(y.boxes for y in ys)
+        if args.ell is None and boxes == 0:
+            raise _UsageError("the diagrams hold no boxes, so they fill no square with ell >= 1")
         ell = args.ell if args.ell is not None else math.isqrt(boxes)
         if ell * ell != boxes:
             raise _UsageError(
@@ -374,7 +384,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NodeBudgetExceeded as exc:
+    except RuntimeError as exc:
+        from .young_crystal import NodeBudgetExceeded
+
+        if not isinstance(exc, NodeBudgetExceeded):
+            raise
         print(
             f"resource guard: {exc}; try --oracle paths, which needs no search",
             file=sys.stderr,

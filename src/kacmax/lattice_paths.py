@@ -14,7 +14,7 @@ bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .young_crystal import (
@@ -38,15 +38,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LatticePath:
-    moves: str
+class LatticePath(namedtuple("LatticePath", "moves")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.moves or set(self.moves) - {"R", "U"}:
-            raise ValueError(f"moves must be a nonempty string over R/U, got {self.moves!r}")
-        if self.moves.count("R") != self.moves.count("U"):
-            raise ValueError(f"path must use equally many R and U moves, got {self.moves!r}")
+    def __new__(cls, moves: str) -> "LatticePath":
+        if not moves or set(moves) - {"R", "U"}:
+            raise ValueError(f"moves must be a nonempty string over R/U, got {moves!r}")
+        if moves.count("R") != moves.count("U"):
+            raise ValueError(f"path must use equally many R and U moves, got {moves!r}")
+        return super().__new__(cls, moves)
 
     @property
     def ell(self) -> int:
@@ -83,19 +83,17 @@ class LatticePath:
         return self.moves
 
 
-@dataclass(frozen=True)
-class PathSequence:
-    ell: int
-    k: int
-    paths: tuple[LatticePath, ...]
+class PathSequence(namedtuple("PathSequence", "ell k paths")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need k >= 2, got {self.k}")
-        if len(self.paths) != self.k - 1:
-            raise ValueError(f"expected {self.k - 1} paths, got {len(self.paths)}")
-        if any(p.ell != self.ell for p in self.paths):
-            raise ValueError(f"every path must cross an {self.ell}-column square")
+    def __new__(cls, ell: int, k: int, paths: tuple[LatticePath, ...]) -> "PathSequence":
+        if k < 2:
+            raise ValueError(f"need k >= 2, got {k}")
+        if len(paths) != k - 1:
+            raise ValueError(f"expected {k - 1} paths, got {len(paths)}")
+        if any(p.ell != ell for p in paths):
+            raise ValueError(f"every path must cross an {ell}-column square")
+        return super().__new__(cls, ell, k, paths)
 
     def __str__(self) -> str:
         return ";".join(p.moves for p in self.paths)
@@ -143,14 +141,20 @@ def _regions(seq: PathSequence, n: int) -> list[dict[int, int]]:
 
 def is_admissible(seq: PathSequence, n: int) -> bool:
     """Admissibility of a path tuple: the first path stays weakly below the
-    main diagonal, every region Y_3, ..., Y_k is nonnegative (consecutive
-    below-regions are nested per color), and each region t_i = Y_i (i >= 3)
-    is capped by its predecessor and by the remaining per-color room (the
-    first region t_2 = Y_2 counts twice), and is unimodal in the color."""
+    main diagonal, and each region t_i = Y_i (i >= 3) is capped by its
+    predecessor and by the remaining per-color room (the first region
+    t_2 = Y_2 counts twice), and is unimodal in the color.
+
+    These force every Y_i >= 0, i.e. consecutive below-regions are nested
+    per color, so that is not checked on its own.  The extreme colors
+    +-(ell-1) hold one cell each, and Y_2 is 0 there by the diagonal
+    condition.  There the caps chain Y_i <= Y_{i-1} <= ... <= Y_2 = 0, while
+    Y_3 + ... + Y_i = below[i-2] >= 0 (the cells of that color below path
+    i-1, as below[0] = Y_2 = 0), so every Y_i is 0 at the extreme colors.
+    Unimodality then gives Y_i >= 0 at every color.
+    """
     ys = _regions(seq, n)
     if not seq.paths[0].weakly_below_diagonal:
-        return False
-    if any(v < 0 for y in ys[2:] for v in y.values()):
         return False
     ell = seq.ell
     spent = {c: 2 * v for c, v in ys[1].items()}

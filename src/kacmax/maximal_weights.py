@@ -10,7 +10,7 @@ recursion, both provided here so the routes can be cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .affine_core import AlphaExpansion, check_params, weight_from_x
 from .tuple_sets import enumerate_M
@@ -26,15 +26,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MaxWeightReport:
-    n: int
-    k: int
-    s: int
-    weights: tuple[AlphaExpansion, ...]
-    count: int
-    formula_count: int | None  # populated only when s == 0
-    agree: bool | None
+class MaxWeightReport(
+    namedtuple("MaxWeightReport", "n k s weights count formula_count agree")
+):
+    """The sorted weights of one (n, k, s) and their count; formula_count
+    and agree are populated only when s == 0, and are None otherwise."""
+
+    __slots__ = ()
 
 
 def _boundary_pairs(k: int, s: int):

@@ -10,7 +10,7 @@ from the top) carries color i - r + 1, reduced mod n to the symmetric window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .affine_core import AlphaExpansion, check_params, gamma
 
@@ -30,18 +30,18 @@ class NodeBudgetExceeded(RuntimeError):
     """Raised when an exhaustive diagram search would visit too many states."""
 
 
-@dataclass(frozen=True)
-class ExtendedYoungDiagram:
-    entries: tuple[int, ...] = ()
+class ExtendedYoungDiagram(namedtuple("ExtendedYoungDiagram", "entries")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        e = self.entries
+    def __new__(cls, entries: tuple[int, ...] = ()) -> "ExtendedYoungDiagram":
+        e = entries
         if any(v > 0 for v in e):
             raise ValueError(f"column entries must be nonpositive, got {e}")
         if any(a > b for a, b in zip(e, e[1:])):
             raise ValueError(f"column entries must be weakly increasing, got {e}")
         if e and e[-1] == 0:
             raise ValueError(f"trailing zero columns must be trimmed, got {e}")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_entries(cls, seq) -> "ExtendedYoungDiagram":

@@ -148,6 +148,29 @@ def test_criterion_3_catalan_column():
     print("criterion 3 (Catalan at k = 2 for ell <= 40, ell! at k >= ell for ell <= 12): pass")
 
 
+def _gessel_4321_avoiders(ell):
+    # Gessel (JCTA 53, 1990), OEIS A005802
+    num = sum(
+        math.comb(2 * j, j) * math.comb(ell + 1, j + 1) * math.comb(ell + 2, j + 1)
+        for j in range(ell + 1)
+    )
+    q, r = divmod(num, (ell + 1) ** 2 * (ell + 2))
+    assert r == 0, ell
+    return q
+
+
+def test_criterion_3_gessel_column():
+    # the k = 3 column against a closed form that depends on neither the
+    # path walk nor the hook formula
+    t0 = time.time()
+    assert [_gessel_4321_avoiders(ell) for ell in range(8)] == [1, 1, 2, 6, 23, 103, 513, 2761]
+    paths, patterns = count_T_grid(120, 3), count_avoiding_grid(120, 3)
+    for ell in range(1, 121):
+        assert paths[ell, 3] == patterns[ell, 3] == _gessel_4321_avoiders(ell), ell
+    assert time.time() - t0 < 4.0
+    print("criterion 3 (Gessel's 4321-avoider count at k = 3 for ell <= 120): pass")
+
+
 def test_criterion_4_three_routes_agree():
     t0 = time.time()
     grid = [(ell, k) for ell in (1, 2, 3, 4) for k in (2, 3)]

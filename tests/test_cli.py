@@ -223,6 +223,11 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]", "--ell", ell)
         assert (code, out) == (1, ""), ell
         assert "--ell must be >= 1" in err, ell
+    # empty diagrams would infer ell = 0; say so rather than name an n never passed
+    for ytuple in ("[]", "[];[]"):
+        code, out, err = run(capsys, "bijection", "--ytuple", ytuple)
+        assert (code, out) == (1, ""), ytuple
+        assert err.startswith("error:") and "no boxes" in err, (ytuple, err)
 
 
 def test_budget_guard_exit_code(capsys):
@@ -248,21 +253,55 @@ def test_budget_guard_exit_code_during_search(capsys):
         assert out == "", argv
 
 
+def _modules_loaded(*argv):
+    """The modules a fresh interpreter holds after `import kacmax.cli` and,
+    when argv is given, `kacmax <argv>` with its stdout discarded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kacmax.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import io, sys\n"
+        "import kacmax.cli\n"
+        "if sys.argv[1:]:\n"
+        "    out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    code = kacmax.cli.main(sys.argv[1:])\n"
+        "    sys.stdout = out\n"
+        "    assert code == 0, code\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
 def test_cli_imports_no_process_machinery():
     # a fresh interpreter, because this one may have loaded them for pytest;
     # every command pays for what importing the CLI loads.  Without the
     # `concurrent` package its `futures` submodule cannot be loaded either.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kacmax.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, kacmax.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent') if m in sys.modules))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert not _modules_loaded() & {"multiprocessing", "concurrent"}
+
+
+def test_commands_load_only_what_they_run():
+    # importing the CLI compiles no library module and no dataclasses
+    # machinery; each command then loads only the route it runs
+    loaded = _modules_loaded()
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {m for m in loaded if m.startswith("kacmax.")} == {"kacmax.cli"}
+    multiplicity_routes = {"kacmax.lattice_paths", "kacmax.young_crystal", "kacmax.patterns"}
+    weight_lists = {"kacmax.tuple_sets", "kacmax.maximal_weights"}
+    for argv, never in (
+        (("max-weights", "--n", "6", "--k", "3"), multiplicity_routes),
+        (("count", "--n", "6", "--k", "3"), multiplicity_routes),
+        (("verify", "--conjecture", "count", "--n-max", "4", "--k-max", "3"), multiplicity_routes),
+        (("table", "--oracle", "paths", "--ell-max", "3", "--k-max", "3"), weight_lists),
+        (("table", "--oracle", "patterns", "--ell-max", "3", "--k-max", "3"), weight_lists),
+        (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "3"), weight_lists),
+    ):
+        loaded = _modules_loaded(*argv)
+        assert not loaded & never, (argv, sorted(loaded & never))
+        assert not loaded & {"dataclasses", "inspect"}, argv
 
 
 def test_help_exits_zero(capsys):
