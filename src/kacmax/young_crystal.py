@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import gt, or_, sub
 
 from .affine_core import AlphaExpansion, check_params, gamma
 
@@ -143,27 +144,29 @@ def is_crystal_element(diagrams, n: int) -> bool:
     """Level-k crystal membership for a tuple (Y_1, ..., Y_k): a containment
     chain whose last member contains the first shifted by n, such that no
     column index is slack in every consecutive pair (the pair after Y_k wraps
-    to the shifted Y_1)."""
+    to the shifted Y_1).
+
+    The entries are padded once with zero columns to one common width, one
+    past the widest diagram; every column beyond that satisfies each
+    condition, because all its entries are 0 and n >= 2."""
     ys = tuple(diagrams)
-    k = len(ys)
-    if k < 1:
+    if not ys:
         raise ValueError("need at least one diagram")
     check_params(n)
-    width = max((len(y.entries) for y in ys), default=0) + 2
-    for a, b in zip(ys, ys[1:]):
-        if any(b.entry(i) < a.entry(i) for i in range(width)):
+    width = max(len(y.entries) for y in ys) + 1
+    rows = [y.entries + (0,) * (width - len(y.entries)) for y in ys]
+    for a, b in zip(rows, rows[1:]):
+        if any(map(gt, a, b)):
             return False
-    first, last = ys[0], ys[-1]
-    if any(last.entry(i) > first.entry(i) + n for i in range(width)):
+    shifted = [v + n for v in rows[0]]
+    if any(map(gt, rows[-1], shifted)):
         return False
-
-    def upper(j, i):  # entry of Y_{j+1}, wrapping to the shifted Y_1
-        return ys[j].entry(i) if j < k else first.entry(i) + n
-
-    for i in range(width):
-        if not any(upper(j + 1, i) > ys[j].entry(i + 1) for j in range(k)):
-            return False
-    return True
+    # column i is slack in a pair when the upper member's entry i is at most
+    # the lower member's entry i + 1
+    covered = [False] * (width - 1)
+    for lower, upper in zip(rows, rows[1:] + [shifted]):
+        covered = list(map(or_, covered, map(gt, upper, lower[1:])))
+    return all(covered)
 
 
 def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -> frozenset:
@@ -175,19 +178,29 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     first as a sub-diagram of a rectangle as deep as the largest budget
     entry), column by column; a column stops as soon as one more box would
     push its color past the room the chain has left.  Color counts are
-    length-n tuples indexed by color mod n.
+    length-n lists indexed by color mod n.  A sub-diagram is taken when each
+    of the `left` diagrams still to come can hold at most its own count of
+    every color, that is room[c] <= left * counts[c] for every c.  Each step
+    keeps the number of colors that break this ("short" colors), and a box
+    added or removed updates it in constant time, so the take test is
+    `short == 0`.
 
     A state is one extension step of the chain or one generated sub-diagram.
     The search counts states and raises NodeBudgetExceeded beyond
-    `node_budget`; it also refuses up front when the square of the number of
-    bounded diagrams already exceeds the budget.
+    `node_budget`.  It refuses up front when C(2*ell, ell) + 1 states exceed
+    the budget, a true lower bound: the first step visits every diagram
+    inside the ell x ell corner, since such a diagram holds at most
+    ell - |c| boxes of each color c, which is the budget of c; a diagram
+    outside the corner holds a box of color +-ell, whose budget is 0 when
+    n >= 2*ell.  That is C(2*ell, ell) sub-diagrams plus the step itself.
     """
     check_params(n, k)
     if not 1 <= ell <= n // 2:
         raise ValueError(f"ell must lie in 1..{n // 2} for n={n}, got {ell}")
-    if math.comb(2 * ell, ell) ** 2 > node_budget:
+    least = math.comb(2 * ell, ell) + 1
+    if least > node_budget:
         raise NodeBudgetExceeded(
-            f"about {math.comb(2 * ell, ell)}^2 chain prefixes at ell={ell}, "
+            f"at least {least} states at ell={ell}, "
             f"beyond the budget of {node_budget} states"
         )
     budget = gamma(n, ell, k).m
@@ -212,34 +225,46 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
             assert is_crystal_element(ys, n), ys
             results.append(ys)
             return
+        # the remaining left-1 diagrams are contained in the next one, so
+        # each holds at most v of a color: room - v <= (left-1)*v, that is
+        # v >= need[c]; a color is short while its count is below need
+        need = [-(-r // left) for r in room]
         counts = [0] * n
         depths: list[int] = []
+        short = n - need.count(0)
+        width = len(prev)
 
         def columns(i):
             # depths holds columns 0..i-1 of a sub-diagram of prev; take it,
             # then deepen column i one box at a time
+            nonlocal short
             tick()
-            # the remaining left-1 diagrams are contained in this one, so
-            # each holds at most v of a color: room - v <= (left-1)*v
-            if all(r <= left * v for r, v in zip(room, counts)):
+            if not short:
                 chain.append(tuple(depths))
-                extend(chain[-1], tuple(r - v for r, v in zip(room, counts)), left - 1)
+                extend(chain[-1], tuple(map(sub, room, counts)), left - 1)
                 chain.pop()
-            if i == len(prev):
+            if i == width:
                 return
             cap = min(depths[-1], prev[i]) if depths else prev[0]
             d = 0
             while d < cap:
                 c = (i - d) % n  # color of the box below row d of column i
-                if counts[c] == room[c]:
+                v = counts[c]
+                if v == room[c]:
                     break  # deeper boxes include this one
-                counts[c] += 1
+                v += 1
+                counts[c] = v
+                if v == need[c]:
+                    short -= 1
                 d += 1
                 depths.append(d)
                 columns(i + 1)
                 depths.pop()
             for r in range(d):
-                counts[(i - r) % n] -= 1
+                c = (i - r) % n
+                if counts[c] == need[c]:
+                    short += 1
+                counts[c] -= 1
 
         columns(0)
 

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacmax.affine_core import gamma
+from kacmax.affine_core import check_params, gamma
 from kacmax.lattice_paths import count_T
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
@@ -136,11 +137,84 @@ def test_node_budget_guard():
 
 
 def test_node_budget_guard_fires_during_search():
-    # passes the up-front refusal (comb(2,1)^2 = 4) but a chain of ten
+    # passes the up-front refusal (C(2,1) + 1 = 3 states) but a chain of ten
     # diagrams needs more than four states
-    assert math.comb(2, 1) ** 2 <= 4
+    assert math.comb(2, 1) + 1 <= 4
     with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
         enumerate_weight_space(2, 10, 1, node_budget=4)
+
+
+@pytest.mark.parametrize(
+    "n, k, ell, states, size",
+    [(12, 4, 6, 27943, 694), (14, 3, 7, 183448, 2761)],
+)
+def test_search_visits_pinned_states(n, k, ell, states, size):
+    # the exact state count: the search completes within it and not below
+    assert len(enumerate_weight_space(n, k, ell, node_budget=states)) == size
+    with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {states - 1} states"):
+        enumerate_weight_space(n, k, ell, node_budget=states - 1)
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_up_front_refusal_is_a_lower_bound(ell):
+    # at k = 1 the search visits the first step, the C(2l,l) diagrams of the
+    # l x l corner and one final step: one state more than the refusal's bound
+    least = math.comb(2 * ell, ell) + 1
+    assert len(enumerate_weight_space(2 * ell, 1, ell, node_budget=least + 1)) == 1
+    with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {least} states"):
+        enumerate_weight_space(2 * ell, 1, ell, node_budget=least)
+    with pytest.raises(NodeBudgetExceeded, match=f"at least {least} states"):
+        enumerate_weight_space(2 * ell, 1, ell, node_budget=least - 1)
+
+
+def _is_crystal_element_by_definition(diagrams, n):
+    # the membership predicate read straight off the definition, one entry
+    # at a time, as the reference for is_crystal_element
+    ys = tuple(diagrams)
+    k = len(ys)
+    if k < 1:
+        raise ValueError("need at least one diagram")
+    check_params(n)
+    width = max((len(y.entries) for y in ys), default=0) + 2
+    for a, b in zip(ys, ys[1:]):
+        if any(b.entry(i) < a.entry(i) for i in range(width)):
+            return False
+    first, last = ys[0], ys[-1]
+    if any(last.entry(i) > first.entry(i) + n for i in range(width)):
+        return False
+
+    def upper(j, i):  # entry of Y_{j+1}, wrapping to the shifted Y_1
+        return ys[j].entry(i) if j < k else first.entry(i) + n
+
+    for i in range(width):
+        if not any(upper(j + 1, i) > ys[j].entry(i + 1) for j in range(k)):
+            return False
+    return True
+
+
+def test_is_crystal_element_matches_definition():
+    rng = random.Random(20260)
+    members = 0
+    for trial in range(20000):
+        k = rng.randint(1, 4)
+        n = rng.randint(2, 8)
+        ys = []
+        for _ in range(k):
+            width = rng.randint(0, 5)
+            depths = sorted((rng.randint(1, 6) for _ in range(width)), reverse=True)
+            ys.append(ExtendedYoungDiagram.from_depths(depths))
+        if trial % 2:
+            # a chain runs from the largest diagram down, so members occur
+            ys.sort(key=lambda y: y.boxes, reverse=True)
+        want = _is_crystal_element_by_definition(ys, n)
+        assert is_crystal_element(ys, n) == want, (ys, n)
+        members += want
+    assert members > 1000
+    for check in (is_crystal_element, _is_crystal_element_by_definition):
+        with pytest.raises(ValueError, match="at least one diagram"):
+            check((), 4)
+        with pytest.raises(ValueError, match="n >= 2"):
+            check((ExtendedYoungDiagram(()),), 1)
 
 
 def _diagrams_up_to(boxes):
