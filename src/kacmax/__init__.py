@@ -13,7 +13,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "affine_core": ("AlphaExpansion", "CartanData", "gamma", "is_dominant", "weight_from_x"),
+    "affine_core": ("AlphaExpansion", "gamma", "is_dominant", "weight_from_x"),
     "lattice_paths": (
         "LatticePath",
         "PathSequence",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "count_avoiding_grid",
         "longest_decreasing",
     ),
-    "tuple_sets": ("enumerate_M", "enumerate_S_bruteforce", "is_in_I", "max_ell"),
+    "tuple_sets": ("enumerate_M", "enumerate_S_bruteforce", "max_ell"),
     "young_crystal": (
         "ExtendedYoungDiagram",
         "NodeBudgetExceeded",

@@ -7,14 +7,11 @@ Everything in this package is exact integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 __all__ = [
-    "CartanData",
     "AlphaExpansion",
     "check_params",
-    "classical_apply",
     "weight_from_x",
     "gamma",
     "is_dominant",
@@ -30,36 +27,6 @@ def check_params(n: int, k: int | None = None, s: int | None = None) -> None:
         raise ValueError(f"need k >= 1, got {k}")
     if s is not None and not 0 <= s < n:
         raise ValueError(f"need 0 <= s < n = {n}, got {s}")
-
-
-class CartanData(namedtuple("CartanData", "n")):
-    """Affine Cartan matrix of the rank-(n-1) cyclic type, nodes 0..n-1."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int) -> "CartanData":
-        check_params(n)
-        return super().__new__(cls, n)
-
-    def entry(self, i: int, j: int) -> int:
-        """Affine Cartan matrix entry a_ij; indices are taken mod n."""
-        n = self.n
-        i %= n
-        j %= n
-        if i == j:
-            return 2
-        if n == 2:
-            # rank-one affine case: the two simple roots pair to -2
-            return -2
-        if (i - j) % n in (1, n - 1):
-            return -1
-        return 0
-
-    @property
-    def classical_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The (n-1) x (n-1) submatrix on nodes 1..n-1."""
-        rng = range(1, self.n)
-        return tuple(tuple(self.entry(i, j) for j in rng) for i in rng)
 
 
 class AlphaExpansion(namedtuple("AlphaExpansion", "n k s m")):
@@ -82,25 +49,6 @@ class AlphaExpansion(namedtuple("AlphaExpansion", "n k s m")):
         if len(m) != n:
             raise ValueError(f"m must have {n} entries, got {len(m)}")
         return super().__new__(cls, n, k, s, m)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "k": self.k, "s": self.s, "m": list(self.m)},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlphaExpansion":
-        data = json.loads(text)
-        return cls(n=data["n"], k=data["k"], s=data["s"], m=tuple(data["m"]))
-
-
-def classical_apply(cd: CartanData, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiply the classical (n-1) x (n-1) Cartan matrix by the vector x."""
-    mat = cd.classical_matrix
-    if len(x) != len(mat):
-        raise ValueError(f"vector has {len(x)} entries, expected {len(mat)}")
-    return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in mat)
 
 
 def weight_from_x(n: int, k: int, s: int, x: tuple[int, ...]) -> AlphaExpansion:
@@ -136,14 +84,16 @@ def gamma(n: int, ell: int, k: int) -> AlphaExpansion:
     return AlphaExpansion(n=n, k=k, s=0, m=tuple(m))
 
 
-def is_dominant(cd: CartanData, w: AlphaExpansion) -> bool:
-    """True iff w evaluates nonnegatively against every coroot h_0..h_{n-1}."""
-    if cd.n != w.n:
-        raise ValueError(f"rank mismatch: matrix n={cd.n}, weight n={w.n}")
-    n = cd.n
+def is_dominant(w: AlphaExpansion) -> bool:
+    """True iff w pairs nonnegatively with every coroot h_0..h_{n-1}.
+
+    With indices mod n, w pairs with h_i to (k-1)*[i = 0] + [i = s] - 2*m_i
+    + m_{i-1} + m_{i+1}; for n = 2 both neighbours of a node are the other
+    node, which so gets the rank-one affine Cartan entry -2.
+    """
+    n, k, s, m = w
     for i in range(n):
-        val = (w.k - 1 if i == 0 else 0) + (1 if i == w.s else 0)
-        val -= sum(cd.entry(i, j) * w.m[j] for j in range(n))
-        if val < 0:
+        val = (k - 1 if i == 0 else 0) + (1 if i == s else 0)
+        if val - 2 * m[i] + m[i - 1] + m[(i + 1) % n] < 0:
             return False
     return True

@@ -210,13 +210,19 @@ def _cmd_table(args):
 
 
 def _cmd_verify(args):
+    # each conjecture has its own range flag; the other one would be ignored
+    if args.conjecture == "count" and args.ell_max is not None:
+        raise _UsageError("--ell-max applies only to --conjecture multiplicity")
+    if args.conjecture == "multiplicity" and args.n_max is not None:
+        raise _UsageError("--n-max applies only to --conjecture count")
     bad = 0
     if args.conjecture == "count":
         from .maximal_weights import verify_count_conjecture
 
-        _require_at_least("--n-max", args.n_max, 2)
+        n_max = 8 if args.n_max is None else args.n_max
+        _require_at_least("--n-max", n_max, 2)
         _require_at_least("--k-max", args.k_max, 1)
-        rows = verify_count_conjecture(args.n_max, args.k_max)
+        rows = verify_count_conjecture(n_max, args.k_max)
         if args.format == "json":
             _emit_json(
                 {
@@ -233,17 +239,17 @@ def _cmd_verify(args):
                 print(f"{n}\t{k}\t{c}\t{f}\t{str(a).lower()}")
         bad = sum(1 for row in rows if not row[4])
     else:
-        from .lattice_paths import count_T_grid
-        from .patterns import count_avoiding_grid
-
-        _require_at_least("--ell-max", args.ell_max, 1)
+        ell_max = 6 if args.ell_max is None else args.ell_max
+        _require_at_least("--ell-max", ell_max, 1)
         _require_at_least("--k-max", args.k_max, 2)
-        paths = count_T_grid(args.ell_max, args.k_max)
-        patterns = count_avoiding_grid(args.ell_max, args.k_max)
+        ks = range(2, args.k_max + 1)
+        # neither grid oracle searches, so neither reads a node budget
+        paths = _BACKENDS["paths"].table(ell_max, ks, None)
+        patterns = _BACKENDS["patterns"].table(ell_max, ks, None)
         rows = [
             (ell, k, paths[ell, k], patterns[ell, k])
-            for ell in range(1, args.ell_max + 1)
-            for k in range(2, args.k_max + 1)
+            for ell in range(1, ell_max + 1)
+            for k in ks
         ]
         if args.format == "json":
             _emit_json(
@@ -351,9 +357,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="cross-check a conjecture over a grid")
     p.add_argument("--conjecture", choices=("count", "multiplicity"), required=True)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=int, default=None, help="count only; defaults to 8")
     p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--ell-max", type=int, default=6)
+    p.add_argument("--ell-max", type=int, default=None, help="multiplicity only; defaults to 6")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -52,12 +52,13 @@ def maximal_dominant_weights(n: int, k: int, s: int = 0) -> MaxWeightReport:
     the conjectured closed-form count and whether the enumeration matches it.
     """
     check_params(n, k, s)
-    weights = {weight_from_x(n, k, s, (0,) * (n - 1))}
-    if k >= 2:
-        for a, b in _boundary_pairs(k, s):
-            for family in (1, 2, 3, 4, 5):
-                for x in enumerate_M(family, s, n, a, b):
-                    weights.add(weight_from_x(n, k, s, x))
+    # family 5 gives the zero tuple (the highest weight) at the pair (0, 0)
+    weights = {
+        weight_from_x(n, k, s, x)
+        for a, b in _boundary_pairs(k, s)
+        for family in (1, 2, 3, 4, 5)
+        for x in enumerate_M(family, s, n, a, b)
+    }
     ws = tuple(sorted(weights))
     formula = count_formula(n, k) if s == 0 else None
     agree = (len(ws) == formula) if s == 0 else None

@@ -15,7 +15,6 @@ from .affine_core import check_params
 
 __all__ = [
     "format_x",
-    "is_in_I",
     "max_ell",
     "enumerate_M",
     "enumerate_S_bruteforce",
@@ -24,21 +23,6 @@ __all__ = [
 
 def format_x(x: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
-
-
-def is_in_I(xs: tuple[int, ...], i_min: int, i_max: int, reverse: bool = False) -> bool:
-    """Membership in the concave-difference segment family.
-
-    Forward: every consecutive difference lies in [i_min, i_max] and the
-    differences are weakly decreasing.  With reverse=True the same test is
-    applied to the reversed tuple (the strictly-decreasing-segment family
-    when i_min >= 1).
-    """
-    seq = xs[::-1] if reverse else xs
-    diffs = [b - a for a, b in zip(seq, seq[1:])]
-    if any(d < i_min or d > i_max for d in diffs):
-        return False
-    return all(a >= b for a, b in zip(diffs, diffs[1:]))
 
 
 def _ceil_div(a: int, b: int) -> int:

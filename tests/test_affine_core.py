@@ -3,9 +3,7 @@ from hypothesis import given, strategies as st
 
 from kacmax.affine_core import (
     AlphaExpansion,
-    CartanData,
     check_params,
-    classical_apply,
     gamma,
     is_dominant,
     weight_from_x,
@@ -32,7 +30,6 @@ _OUT_OF_RANGE = {
     "check_params n": lambda: check_params(1),
     "check_params k": lambda: check_params(3, 0),
     "check_params s": lambda: check_params(3, 1, 3),
-    "CartanData n": lambda: CartanData(1),
     "AlphaExpansion n": lambda: AlphaExpansion(1, 1, 0, (0,)),
     "AlphaExpansion k": lambda: AlphaExpansion(3, 0, 0, (0, 0, 0)),
     "AlphaExpansion s": lambda: AlphaExpansion(3, 1, 3, (0, 0, 0)),
@@ -62,9 +59,34 @@ def test_entry_points_reject_out_of_range_params(case):
         _OUT_OF_RANGE[case]()
 
 
+def _cartan_entry(n, i, j):
+    """Affine Cartan matrix entry a_ij of the cyclic type, indices mod n."""
+    i %= n
+    j %= n
+    if i == j:
+        return 2
+    if n == 2:
+        # rank-one affine case: the two simple roots pair to -2
+        return -2
+    if (i - j) % n in (1, n - 1):
+        return -1
+    return 0
+
+
+def _is_dominant_by_matrix(w):
+    """Dominance straight from the definition: (k-1)*Lambda_0 + Lambda_s
+    minus A*m is entrywise nonnegative, with A the full affine Cartan matrix."""
+    for i in range(w.n):
+        val = (w.k - 1 if i == 0 else 0) + (1 if i == w.s else 0)
+        val -= sum(_cartan_entry(w.n, i, j) * w.m[j] for j in range(w.n))
+        if val < 0:
+            return False
+    return True
+
+
 def test_cartan_entries_generic():
-    cd = CartanData(4)
-    assert [[cd.entry(i, j) for j in range(4)] for i in range(4)] == [
+    # pins the reference matrix that `_is_dominant_by_matrix` reads
+    assert [[_cartan_entry(4, i, j) for j in range(4)] for i in range(4)] == [
         [2, -1, 0, -1],
         [-1, 2, -1, 0],
         [0, -1, 2, -1],
@@ -74,24 +96,7 @@ def test_cartan_entries_generic():
 
 def test_cartan_entries_rank_one_affine():
     # n = 2 is special: the two nodes are doubly linked
-    cd = CartanData(2)
-    assert [[cd.entry(i, j) for j in range(2)] for i in range(2)] == [[2, -2], [-2, 2]]
-
-
-def test_classical_matrix_drops_node_zero():
-    cd = CartanData(5)
-    assert cd.classical_matrix == (
-        (2, -1, 0, 0),
-        (-1, 2, -1, 0),
-        (0, -1, 2, -1),
-        (0, 0, -1, 2),
-    )
-
-
-def test_classical_apply():
-    cd = CartanData(4)
-    assert classical_apply(cd, (1, 2, 1)) == (0, 2, 0)
-    assert classical_apply(cd, (1, 1, 1)) == (1, 0, 1)
+    assert [[_cartan_entry(2, i, j) for j in range(2)] for i in range(2)] == [[2, -2], [-2, 2]]
 
 
 def test_weight_from_x_staircase():
@@ -127,24 +132,21 @@ def test_gamma_domain():
 
 
 def test_is_dominant_examples():
-    cd = CartanData(4)
-    assert is_dominant(cd, AlphaExpansion(4, 2, 0, (0, 0, 0, 0)))
-    assert is_dominant(cd, AlphaExpansion(4, 2, 0, (1, 0, 0, 0)))
+    assert is_dominant(AlphaExpansion(4, 2, 0, (0, 0, 0, 0)))
+    assert is_dominant(AlphaExpansion(4, 2, 0, (1, 0, 0, 0)))
     # 2*(node-0 weight) - alpha_1 is not dominant: pairing with h_1 is -2
-    assert not is_dominant(cd, AlphaExpansion(4, 2, 0, (0, 1, 0, 0)))
-
-
-def test_is_dominant_rank_mismatch():
-    with pytest.raises(ValueError):
-        is_dominant(CartanData(3), AlphaExpansion(4, 2, 0, (0, 0, 0, 0)))
+    assert not is_dominant(AlphaExpansion(4, 2, 0, (0, 1, 0, 0)))
+    # n = 2: alpha_0 pairs with (h_0, h_1) to (2, -2), so k*Lambda_0 - alpha_0
+    # pairs to (k - 2, 2), dominant at k = 2 and not at k = 1
+    assert is_dominant(AlphaExpansion(2, 2, 0, (1, 0)))
+    assert not is_dominant(AlphaExpansion(2, 1, 0, (1, 0)))
 
 
 def test_highest_weight_is_dominant_every_s():
     for n in range(2, 7):
-        cd = CartanData(n)
         for s in range(n):
             for k in (1, 2, 5):
-                assert is_dominant(cd, weight_from_x(n, k, s, (0,) * (n - 1)))
+                assert is_dominant(weight_from_x(n, k, s, (0,) * (n - 1)))
 
 
 @st.composite
@@ -157,8 +159,8 @@ def expansions(draw):
 
 
 @given(expansions())
-def test_json_roundtrip(w):
-    assert AlphaExpansion.from_json(w.to_json()) == w
+def test_is_dominant_matches_matrix(w):
+    assert is_dominant(w) == _is_dominant_by_matrix(w)
 
 
 @st.composite

@@ -161,6 +161,9 @@ def test_verify_count(capsys):
     )
     assert code == 0
     assert all(line.endswith("true") for line in out.strip().splitlines()[1:])
+    # without --n-max the grid runs to n = 8
+    code, out, _ = run(capsys, "verify", "--conjecture", "count", "--k-max", "1")
+    assert code == 0 and out.splitlines()[-1].startswith("8\t1\t")
 
 
 def test_verify_multiplicity(capsys):
@@ -168,6 +171,9 @@ def test_verify_multiplicity(capsys):
         capsys, "verify", "--conjecture", "multiplicity", "--ell-max", "4", "--k-max", "3"
     )
     assert code == 0
+    # without --ell-max the grid runs to ell = 6
+    code, out, _ = run(capsys, "verify", "--conjecture", "multiplicity", "--k-max", "2")
+    assert code == 0 and out.splitlines()[-1].startswith("6\t2\t")
     # the grid at benchmark size, pinned to the output of the per-cell loop
     # that computed every cell by its own count_T and count_avoiding call
     for argv, want in (
@@ -198,6 +204,14 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "grid would be empty" in err, argv
+    # each conjecture's range flag is refused by the other, not ignored
+    for argv, flag in (
+        (("verify", "--conjecture", "multiplicity", "--n-max", "0"), "--n-max"),
+        (("verify", "--conjecture", "count", "--ell-max", "0"), "--ell-max"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and flag in err, argv
     # out-of-range budgets and k; the grid oracles have no per-cell check to trip
     for argv in (
         ("multiplicity", "--ell", "3", "--k", "2", "--oracle", "crystal", "--node-budget", "-5"),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacmax.affine_core import CartanData, is_dominant
+from kacmax.affine_core import is_dominant
 from kacmax.maximal_weights import (
     count_formula,
     level2_explicit_weights,
@@ -105,11 +105,10 @@ def test_weights_are_sorted_and_distinct():
 def test_all_reported_weights_are_dominant(n, k, s):
     if s >= n:
         s %= n
-    cd = CartanData(n)
     report = maximal_dominant_weights(n, k, s)
     for w in report.weights:
         assert w.n == n and w.k == k and w.s == s
-        assert is_dominant(cd, w)
+        assert is_dominant(w)
 
 
 def test_verify_count_conjecture_rows():

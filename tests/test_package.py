@@ -7,7 +7,6 @@ import pytest
 import kacmax
 from kacmax import (
     AlphaExpansion,
-    CartanData,
     ExtendedYoungDiagram,
     LatticePath,
     MaxWeightReport,
@@ -38,7 +37,7 @@ def test_unknown_attribute_raises():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: CartanData(1), "need n >= 2, got 1"),
+        (lambda: AlphaExpansion(1, 1, 0, (0,)), "need n >= 2, got 1"),
         (lambda: AlphaExpansion(3, 0, 0, (0, 0, 0)), "need k >= 1, got 0"),
         (lambda: AlphaExpansion(3, 1, 3, (0, 0, 0)), "need 0 <= s < n = 3, got 3"),
         (lambda: AlphaExpansion(3, 1, 0, (0, 0)), "m must have 3 entries, got 2"),
@@ -61,7 +60,6 @@ def test_value_classes_validate(build, message):
 def _samples():
     path = LatticePath("RURU")
     return [
-        CartanData(3),
         AlphaExpansion(n=3, k=2, s=1, m=(1, 0, 0)),
         maximal_dominant_weights(3, 2, 0),
         path,
@@ -83,7 +81,6 @@ def test_value_classes_are_immutable_and_hash_their_fields():
 
 
 def test_value_classes_repr_and_fields():
-    assert repr(CartanData(3)) == "CartanData(n=3)"
     assert repr(AlphaExpansion(2, 1, 0, (0, 0))) == "AlphaExpansion(n=2, k=1, s=0, m=(0, 0))"
     assert repr(LatticePath("RU")) == "LatticePath(moves='RU')"
     assert repr(PathSequence(1, 2, (LatticePath("RU"),))) == (

@@ -3,12 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacmax.affine_core import CartanData, is_dominant, weight_from_x
+from kacmax.affine_core import is_dominant, weight_from_x
 from kacmax.tuple_sets import (
     enumerate_M,
     enumerate_S_bruteforce,
     format_x,
-    is_in_I,
     max_ell,
 )
 
@@ -45,19 +44,6 @@ def test_family5_level3_table():
 
 def test_format_parse_roundtrip():
     assert format_x((1, 2, 3, 2, 1)) == "(1,2,3,2,1)"
-
-
-def test_is_in_I():
-    # forward: differences weakly decreasing within the window
-    assert is_in_I((1, 3, 5, 6), 1, 2)
-    assert not is_in_I((1, 2, 4), 1, 2)  # differences increase
-    assert not is_in_I((1, 4), 1, 2)  # difference too large
-    assert is_in_I((7,), 1, 2)  # single entry, vacuous
-    # reversed: drops weakly increase left to right
-    assert is_in_I((5, 4, 2), 1, 2, reverse=True)
-    assert not is_in_I((5, 3, 2), 1, 2, reverse=True)
-    # strictly decreasing once the minimum drop is positive
-    assert all(a > b for a, b in itertools.pairwise((5, 4, 2)))
 
 
 def test_max_ell_known_values():
@@ -161,10 +147,9 @@ def test_families_pairwise_disjoint_off_zero(cell):
 @given(family_cells())
 def test_members_give_dominant_weights_at_minimal_level(cell):
     n, s, x1, xn1 = cell
-    cd = CartanData(n)
     k = x1 + xn1 + 1
     for x in enumerate_S_bruteforce(n, s, x1, xn1):
-        assert is_dominant(cd, weight_from_x(n, k, s, x))
+        assert is_dominant(weight_from_x(n, k, s, x))
 
 
 def test_degenerate_final_plateau():
