@@ -9,20 +9,14 @@ H_a cells of column a.  A (k-1)-tuple of such paths cuts the square into k
 regions; reading each region as an extended Young diagram recovers a
 containment chain.  Admissible tuples are counted by a small per-color
 transfer DP, and listed by reading the crystal search through that
-bijection.
+bijection.  The crystal model is imported inside the three functions that
+read it, so a process that only counts never compiles it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-
-from .young_crystal import (
-    ExtendedYoungDiagram,
-    color_counts,
-    enumerate_weight_space,
-    from_color_counts,
-)
 
 __all__ = [
     "LatticePath",
@@ -176,6 +170,8 @@ def enumerate_T(ell: int, k: int) -> frozenset:
     The search is `enumerate_weight_space` at its default node budget, so
     large cases raise NodeBudgetExceeded.
     """
+    from .young_crystal import enumerate_weight_space
+
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
     n = 2 * ell
@@ -193,35 +189,54 @@ def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
     at most k nonzero parts.  The states are kept apart by that number r;
     after the steps to ell, the sum of mult^2 over each r is a bucket, and
     count_T(ell, k) is the sum of the buckets r <= k.
+
+    A state s_0 >= s_1 >= ... is packed into one int, s_i in bits
+    [B*i, B*i + B) with B = (ell_max + 1).bit_length() + 1, so no part
+    (at most ell_max) reaches the top bit of its field.  Then
+    code - (code >> B) holds the differences s_i - s_{i+1} >= 0 field by
+    field with no borrows, and adding 2^(B-1) - 1 to each of the fields
+    0..r-2 sets their top bit exactly where the difference is positive,
+    that is where row i + 1 heads a tie block and can take a box.  That
+    mask, together with row 0, which can always take one, picks the
+    increments to add; they are kept in a dict keyed by the mask.
     """
     if ell_max < 1 or k_max < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
+    width = (ell_max + 1).bit_length() + 1
+    field_top = 1 << width - 1
+    # ones[r] has a 1 at the bottom of each field 0..r-2, the fields that
+    # hold the differences within r parts
+    ones = [sum(1 << width * i for i in range(r - 1)) for r in range(k_max + 1)]
+    low = [(field_top - 1) * o for o in ones]
+    high = [field_top * o for o in ones]
+    steps_by_mask: dict[int, tuple[int, ...]] = {}
     grid: dict[tuple[int, int], int] = {}
-    # by_parts[r] maps each state with r nonzero parts to its mult
-    by_parts: list[dict[tuple[int, ...], int]] = [{} for _ in range(k_max + 1)]
-    by_parts[1][(1,) + (0,) * (k_max - 1)] = 1
+    # by_parts[r] maps each packed state with r nonzero parts to its mult
+    by_parts: list[dict[int, int]] = [{} for _ in range(k_max + 1)]
+    by_parts[1][1] = 1
     for ell in range(1, ell_max + 1):
         if ell > 1:
-            new: list[dict[tuple[int, ...], int]] = [{} for _ in range(k_max + 1)]
+            new: list[dict[int, int]] = [{} for _ in range(k_max + 1)]
             for r in range(1, k_max + 1):
                 same = new[r]
-                for state, mult in by_parts[r].items():
-                    s = list(state)
-                    prev = None
-                    for idx in range(r):
-                        v = s[idx]
-                        if v != prev:  # the state is non-increasing: first of its tie block
-                            s[idx] = v + 1
-                            t = tuple(s)
-                            s[idx] = v
-                            same[t] = same.get(t, 0) + mult
-                            prev = v
-                    if r < k_max:
-                        # the first zero takes a box, the zeros after it cannot; the
-                        # state reached has one predecessor with r parts, and the
-                        # steps within r + 1 parts come later, so none is there yet
-                        s[r] = 1
-                        new[r + 1][tuple(s)] = mult
+                lo, hi = low[r], high[r]
+                # the first zero takes a box, the zeros after it cannot; the
+                # state reached has one predecessor with r parts, and the
+                # steps within r + 1 parts come later, so none is there yet
+                grow = new[r + 1] if r < k_max else None
+                first_zero = 1 << width * r
+                for code, mult in by_parts[r].items():
+                    mask = (code - (code >> width) + lo) & hi
+                    steps = steps_by_mask.get(mask)
+                    if steps is None:
+                        steps = steps_by_mask[mask] = (1,) + tuple(
+                            1 << width * (i + 1) for i in range(k_max) if mask >> width * i & field_top
+                        )
+                    for step in steps:
+                        t = code + step
+                        same[t] = same.get(t, 0) + mult
+                    if grow is not None:
+                        grow[code + first_zero] = mult
             by_parts = new
         total = 0
         for k in range(1, k_max + 1):
@@ -261,6 +276,8 @@ def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ..
     cut into diagrams and still not be admissible, which is for
     `is_admissible` to decide.
     """
+    from .young_crystal import from_color_counts
+
     regions = _regions(seq, n)
     try:
         return tuple(from_color_counts(r) for r in regions)
@@ -276,6 +293,8 @@ def ytuple_to_paths(diagrams, ell: int, n: int) -> PathSequence:
     diagram in the top-left of the square); adding Y_2 last must complete the
     square exactly.  Raises ValueError when some stage is not realizable.
     """
+    from .young_crystal import color_counts, from_color_counts
+
     ys = tuple(diagrams)
     k = len(ys)
     if k < 2:

@@ -11,10 +11,9 @@ weakly below the diagonal, implemented here in both directions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import permutations
-from math import factorial
-
-from .lattice_paths import LatticePath
+from itertools import combinations, permutations, starmap
+from math import factorial, prod
+from operator import sub
 
 __all__ = [
     "parse_perm",
@@ -60,17 +59,34 @@ def longest_decreasing(w) -> int:
     return len(tails)
 
 
-def _shapes(total, max_rows, cap=None):
+def _shapes(total, max_rows):
+    """The partitions of `total` into at most `max_rows` parts, in reverse
+    lexicographic order: fill greedily, then lower the last part that can
+    be lowered so the boxes after it still fit below it."""
     if total == 0:
         yield ()
         return
     if max_rows == 0:
         return
-    top = total if cap is None else min(cap, total)
-    # max_rows rows of at most `first` boxes each must hold all `total` boxes
-    for first in range(top, -(-total // max_rows) - 1, -1):
-        for rest in _shapes(total - first, max_rows - 1, first):
-            yield (first,) + rest
+    parts = []
+    rem, cap = total, total  # boxes still to place, and the bound on the next part
+    while True:
+        while rem:
+            cap = min(cap, rem)
+            parts.append(cap)
+            rem -= cap
+        yield tuple(parts)
+        while parts:
+            v = parts.pop()
+            rem += v
+            # rows len(parts).. of at most v - 1 boxes each must hold all `rem` boxes
+            if (v - 1) * (max_rows - len(parts)) >= rem:
+                cap = v - 1
+                parts.append(cap)
+                rem -= cap
+                break
+        else:
+            return
 
 
 def _squares_by_rows(ell, max_rows, fact):
@@ -82,13 +98,8 @@ def _squares_by_rows(ell, max_rows, fact):
     for shape in _shapes(ell, max_rows):
         r = len(shape)
         h = [part + r - 1 - i for i, part in enumerate(shape)]
-        vandermonde = 1
-        den = 1
-        for i, hi in enumerate(h):
-            den *= fact[hi]
-            for hj in h[i + 1:]:
-                vandermonde *= hi - hj
-        count, rem = divmod(fact[ell] * vandermonde, den)
+        vandermonde = prod(starmap(sub, combinations(h, 2)))
+        count, rem = divmod(fact[ell] * vandermonde, prod(map(fact.__getitem__, h)))
         assert rem == 0, shape
         by_rows[r] += count * count
     return by_rows
@@ -133,6 +144,8 @@ def bjs_perm_to_path(w) -> LatticePath:
     """Path image of a 321-avoiding permutation: positions j with inversion
     count c_j > 0 contribute a corner at (c_j + j - 1, j); raises ValueError
     when the permutation contains a strictly decreasing triple."""
+    from .lattice_paths import LatticePath
+
     w = tuple(w)
     if longest_decreasing(w) >= 3:
         raise ValueError(f"{format_perm(w)} contains a strictly decreasing triple")

@@ -299,19 +299,26 @@ def test_cli_imports_no_process_machinery():
 
 def test_commands_load_only_what_they_run():
     # importing the CLI compiles no library module and no dataclasses
-    # machinery; each command then loads only the route it runs
+    # machinery; each command then loads only the route it runs, and a
+    # multiplicity DP loads neither the other DP nor the crystal model
     loaded = _modules_loaded()
     assert not loaded & {"dataclasses", "inspect"}
     assert {m for m in loaded if m.startswith("kacmax.")} == {"kacmax.cli"}
     multiplicity_routes = {"kacmax.lattice_paths", "kacmax.young_crystal", "kacmax.patterns"}
     weight_lists = {"kacmax.tuple_sets", "kacmax.maximal_weights"}
+    crystal = {"kacmax.young_crystal", "kacmax.affine_core"}
+    not_paths = weight_lists | crystal | {"kacmax.patterns"}
+    not_patterns = weight_lists | crystal | {"kacmax.lattice_paths"}
     for argv, never in (
         (("max-weights", "--n", "6", "--k", "3"), multiplicity_routes),
         (("count", "--n", "6", "--k", "3"), multiplicity_routes),
         (("verify", "--conjecture", "count", "--n-max", "4", "--k-max", "3"), multiplicity_routes),
-        (("table", "--oracle", "paths", "--ell-max", "3", "--k-max", "3"), weight_lists),
-        (("table", "--oracle", "patterns", "--ell-max", "3", "--k-max", "3"), weight_lists),
-        (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "3"), weight_lists),
+        (("multiplicity", "--ell", "5", "--k", "3", "--oracle", "paths"), not_paths),
+        (("multiplicity", "--ell", "5", "--k", "3", "--oracle", "patterns"), not_patterns),
+        (("table", "--oracle", "paths", "--ell-max", "3", "--k-max", "3"), not_paths),
+        (("table", "--oracle", "patterns", "--ell-max", "3", "--k-max", "3"), not_patterns),
+        (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "3"),
+         weight_lists | crystal),
     ):
         loaded = _modules_loaded(*argv)
         assert not loaded & never, (argv, sorted(loaded & never))

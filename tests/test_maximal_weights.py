@@ -41,6 +41,31 @@ def test_count_formula_values():
     assert count_formula(2, 2) == 2
 
 
+def _qbinomial_columns_mod(n, k_max):
+    # [n-1+k choose k]_q for k = 0..k_max as coefficient lists modulo
+    # q^n - 1, by the q-Pascal rule G(a, b) = G(a-1, b) + q^a G(a, b-1) with
+    # G(a, b) = [a+b choose a]_q; multiplying by q^a rotates the list by a
+    row = [[1] + [0] * (n - 1) for _ in range(k_max + 1)]  # b = 0
+    for _ in range(n - 1):
+        new = [row[0]]
+        for a in range(1, k_max + 1):
+            shift = a % n
+            rotated = row[a][-shift:] + row[a][:-shift] if shift else row[a]
+            new.append([x + y for x, y in zip(new[a - 1], rotated)])
+        row = new
+    return row
+
+
+def test_count_formula_matches_cyclic_sieving():
+    # by cyclic sieving (Reiner, Stanton and White, JCTA 108, 2004) the
+    # cyclic average equals the sum of the coefficients of q^j, n | j, in
+    # [n-1+k choose k]_q; that sum is read here with no divisor sum
+    for n in range(2, 60):
+        columns = _qbinomial_columns_mod(n, 59)
+        for k in range(1, 60):
+            assert count_formula(n, k) == columns[k][0], (n, k)
+
+
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=8))
 def test_count_formula_is_a_positive_integer(n, k):
     value = count_formula(n, k)

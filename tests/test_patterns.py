@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kacmax.lattice_paths import LatticePath, count_T
 from kacmax.patterns import (
+    _shapes,
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
@@ -78,6 +79,27 @@ def test_bjs_is_a_bijection_on_small_sizes():
         catalan = math.comb(2 * ell, ell) // (ell + 1)
         assert avoiders == catalan
         assert len(images) == catalan
+
+
+def _shapes_recursive(total, max_rows, cap=None):
+    # reference: the partitions of `total` into at most `max_rows` parts,
+    # first part largest first, each later part at most the one before
+    if total == 0:
+        yield ()
+        return
+    if max_rows == 0:
+        return
+    top = total if cap is None else min(cap, total)
+    for first in range(top, -(-total // max_rows) - 1, -1):
+        for rest in _shapes_recursive(total - first, max_rows - 1, first):
+            yield (first,) + rest
+
+
+def test_shapes_match_recursive_reference():
+    for total in range(21):
+        for max_rows in range(11):
+            got = list(_shapes(total, max_rows))
+            assert got == list(_shapes_recursive(total, max_rows)), (total, max_rows)
 
 
 def test_count_avoiding_values():
