@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,11 +90,20 @@ def _mult_crystal(ell, k, n, node_budget):
 
 
 def _table_crystal(ell_max, ks, node_budget):
-    return {
-        (ell, k): _mult_crystal(ell, k, 2 * ell, node_budget)
-        for ell in range(1, ell_max + 1)
-        for k in ks
-    }
+    # one search per ell, at the largest k: padding a chain of j nonempty
+    # diagrams with empty ones is a bijection onto the k-chains with j
+    # nonempty members (the color content does not change, and membership
+    # does not either, as the wrap pair covers every column), so cell
+    # (ell, k) counts the elements with at most k nonempty diagrams
+    from .young_crystal import enumerate_weight_space
+
+    grid = {}
+    for ell in range(1, ell_max + 1):
+        els = enumerate_weight_space(2 * ell, ks[-1], ell, node_budget=node_budget)
+        nonempty = Counter(sum(1 for y in el if y.entries) for el in els)
+        for k in ks:
+            grid[ell, k] = sum(m for j, m in nonempty.items() if j <= k)
+    return grid
 
 
 _Backend = namedtuple("_Backend", "cell table")

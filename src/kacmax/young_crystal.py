@@ -169,10 +169,40 @@ def is_crystal_element(diagrams, n: int) -> bool:
     return all(covered)
 
 
+def _least_states(k: int, ell: int) -> int:
+    # the root step plus one leaf state per element; at k >= 2 the elements
+    # include the k = 2 elements padded with empty diagrams, Catalan(ell) of
+    # them, and at k = 1 there is one element
+    return (math.comb(2 * ell, ell) // (ell + 1) if k >= 2 else 1) + 1
+
+
+def _fill(prev, room, n):
+    # the one sub-diagram of prev whose color counts are exactly `room`, as
+    # depths, or None; each column takes the colors i, i-1, ... while room
+    # allows, at most as deep as prev and as the column before
+    left = list(room)
+    depths: list[int] = []
+    for i, top in enumerate(prev):
+        cap = min(depths[-1], top) if depths else top
+        d = 0
+        while d < cap and left[(i - d) % n]:
+            left[(i - d) % n] -= 1
+            d += 1
+        if not d:
+            break
+        depths.append(d)
+    return None if any(left) else tuple(depths)
+
+
 def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -> frozenset:
     """All crystal elements of weight k*(node-0 fundamental) minus the
     staircase gamma_ell: containment chains of k diagrams whose color counts
     sum to the staircase budget, checked against the membership predicate.
+
+    The budget of color c is ell - |c| for |c| < ell and 0 for every other
+    color mod n.  So a diagram that fits it lies in the ell x ell corner, and
+    its boxes carry the colors -ell < c < ell, which are distinct mod
+    n >= 2*ell: the search may treat a color mod n as an integer color.
 
     Each diagram is generated as a sub-diagram of the one before it (the
     first as a sub-diagram of a rectangle as deep as the largest budget
@@ -185,22 +215,46 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     added or removed updates it in constant time, so the take test is
     `short == 0`.
 
-    A state is one extension step of the chain or one generated sub-diagram.
-    The search counts states and raises NodeBudgetExceeded beyond
-    `node_budget`.  It refuses up front when C(2*ell, ell) + 1 states exceed
-    the budget, a true lower bound: the first step visits every diagram
-    inside the ell x ell corner, since such a diagram holds at most
-    ell - |c| boxes of each color c, which is the budget of c; a diagram
-    outside the corner holds a box of color +-ell, whose budget is 0 when
-    n >= 2*ell.  That is C(2*ell, ell) sub-diagrams plus the step itself.
+    Dead branches are cut.  With column i settled at depth d, at most its
+    cap, the columns to its right are at most d deep, so they hold colors
+    >= i + 2 - d only; the colors i + 1 - d ... i + 1 - cap of rows d ... cap
+    of column i get no further box from them.  If one of those colors is
+    short, no sub-diagram to the right is ever taken, so the search skips
+    the columns to the right and goes on deepening column i.
+
+    The last diagram is built, not searched for.  It must use up the room
+    exactly, and a diagram is fixed by its color counts (the boxes of one
+    color fill a prefix of one diagonal), so at most one diagram Y fits.
+    Column by column, take the colors i, i-1, ... while room allows, at most
+    as deep as the diagram before and as column i-1.  If Y exists, this
+    builds Y: with columns 0..i-1 equal to Y's, column i reaches Y's depth
+    D_i, since Y lies in both caps and each color of Y's column i is unused
+    (a color has at most one box per column).  It stops there: a cap is
+    hit, or the color i - D_i of the box below has no room left, because
+    every box of that color in Y lies in a column < i (in a column j > i it
+    would sit in row j - i + D_i + 1 > D_j).  The built diagram is kept only
+    when it uses up all of the room.
+
+    A search builds one ExtendedYoungDiagram per distinct depths tuple that
+    reaches an element, at most C(2*ell, ell) objects, the diagrams of the
+    ell x ell corner.
+
+    A state is one extension step of the chain, one generated sub-diagram
+    or one finished chain.  The search counts states and raises
+    NodeBudgetExceeded beyond `node_budget`.  It refuses up front when
+    Catalan(ell) + 1 states (2 at k = 1) exceed the budget, a true lower
+    bound: every element is one finished chain and one state, the root step
+    is another, and for k >= 2 the elements include the k = 2 elements
+    padded with empty diagrams, which by the paper's k = 2 theorem number
+    Catalan(ell).
     """
     check_params(n, k)
     if not 1 <= ell <= n // 2:
         raise ValueError(f"ell must lie in 1..{n // 2} for n={n}, got {ell}")
-    least = math.comb(2 * ell, ell) + 1
+    least = _least_states(k, ell)
     if least > node_budget:
         raise NodeBudgetExceeded(
-            f"at least {least} states at ell={ell}, "
+            f"at least {least} states at ell={ell}, k={k}, "
             f"beyond the budget of {node_budget} states"
         )
     budget = gamma(n, ell, k).m
@@ -211,19 +265,37 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
         if visited[0] > node_budget:
             raise NodeBudgetExceeded(f"search exceeded {node_budget} states")
 
+    diagrams: dict[tuple[int, ...], ExtendedYoungDiagram] = {}
+
+    def diagram(depths):
+        y = diagrams.get(depths)
+        if y is None:
+            y = diagrams[depths] = ExtendedYoungDiagram.from_depths(depths)
+        return y
+
     chain: list[tuple[int, ...]] = []
     results = []
+    # the colors of rows 1..ell of columns 0..ell-1; column ell would start
+    # with color ell, whose budget is 0, so no column from ell on holds a box
+    column_colors = [[(i - r) % n for r in range(ell)] for i in range(ell)]
 
     def extend(prev, room, left):
         # chain holds k - left diagrams leaving `room` per color; the next
         # one is a sub-diagram of prev
         tick()
         if left == 0:
-            # the last diagram had to fill its room exactly, so the counts
-            # sum to the budget
-            ys = tuple(ExtendedYoungDiagram.from_depths(d) for d in chain)
+            # the last diagram filled its room exactly, so the counts sum to
+            # the budget
+            ys = tuple(map(diagram, chain))
             assert is_crystal_element(ys, n), ys
             results.append(ys)
+            return
+        if left == 1:
+            last = _fill(prev, room, n)
+            if last is not None:
+                chain.append(last)
+                extend(last, None, 0)
+                chain.pop()
             return
         # the remaining left-1 diagrams are contained in the next one, so
         # each holds at most v of a color: room - v <= (left-1)*v, that is
@@ -243,12 +315,16 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
                 chain.append(tuple(depths))
                 extend(chain[-1], tuple(map(sub, room, counts)), left - 1)
                 chain.pop()
-            if i == width:
-                return
+            if i == width or counts[i % n] == room[i % n]:
+                return  # column i can take no box
             cap = min(depths[-1], prev[i]) if depths else prev[0]
+            below = column_colors[i][:cap]  # colors of rows 1..cap
+            # how many colors of rows max(d, 1)..cap of column i are short;
+            # no column to the right reaches them
+            pending = sum([counts[c] < need[c] for c in below])
             d = 0
             while d < cap:
-                c = (i - d) % n  # color of the box below row d of column i
+                c = below[d]
                 v = counts[c]
                 if v == room[c]:
                     break  # deeper boxes include this one
@@ -256,12 +332,16 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
                 counts[c] = v
                 if v == need[c]:
                     short -= 1
+                    pending -= 1
+                if d:
+                    c = below[d - 1]
+                    pending -= counts[c] < need[c]
                 d += 1
-                depths.append(d)
-                columns(i + 1)
-                depths.pop()
-            for r in range(d):
-                c = (i - r) % n
+                if not pending:
+                    depths.append(d)
+                    columns(i + 1)
+                    depths.pop()
+            for c in below[:d]:
                 if counts[c] == need[c]:
                     short += 1
                 counts[c] -= 1

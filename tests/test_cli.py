@@ -125,6 +125,28 @@ def test_table_row_of_ones(capsys):
     ]
 
 
+def test_crystal_table_tallies_one_search_per_ell(capsys):
+    # the crystal table runs one search per ell at the largest k and tallies
+    # its elements by their nonempty diagrams; every cell must still equal
+    # its own search, and the path DP's cell
+    from kacmax.young_crystal import enumerate_weight_space
+
+    argv = ("table", "--k-min", "1", "--ell-max", "5", "--k-max", "4")
+    rows = [
+        [ell] + [len(enumerate_weight_space(2 * ell, k, ell)) for k in range(1, 5)]
+        for ell in range(1, 6)
+    ]
+    code, out, _ = run(capsys, *argv, "--oracle", "crystal")
+    assert code == 0
+    assert lines_of(out)[1:] == ["\t".join(map(str, row)) for row in rows]
+    assert run(capsys, *argv, "--oracle", "paths") == (0, out, "")
+    for oracle in ("crystal", "paths"):
+        code, out, _ = run(capsys, *argv, "--oracle", oracle, "--format", "json")
+        assert code == 0, oracle
+        data = json.loads(out)
+        assert [[row["ell"]] + row["values"] for row in data["rows"]] == rows, oracle
+
+
 def test_bijection_perm_to_path(capsys):
     code, out, _ = run(capsys, "bijection", "--perm", "1342")
     assert code == 0

@@ -248,10 +248,10 @@ def test_inadmissible_tuples_rejected():
 
 
 def test_enumeration_inherits_the_crystal_budget():
-    # C(32,16) + 1 states exceed the default budget of 10^8, so the crystal
+    # Catalan(17) + 1 states exceed the default budget of 10^8, so the crystal
     # search refuses up front
-    with pytest.raises(NodeBudgetExceeded):
-        enumerate_T(16, 3)
+    with pytest.raises(NodeBudgetExceeded, match="at least"):
+        enumerate_T(17, 3)
     with pytest.raises(ValueError):
         enumerate_T(3, 1)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacmax import young_crystal
 from kacmax.affine_core import check_params, gamma
 from kacmax.lattice_paths import count_T
 from kacmax.young_crystal import (
@@ -120,10 +121,17 @@ def test_weight_space_frozen_level2():
 
 
 def test_weight_space_sizes_match_path_count():
-    for ell in (1, 2, 3):
-        for k in (1, 2, 3):
-            els = enumerate_weight_space(2 * ell, k, ell)
-            assert len(els) == count_T(ell, k), (ell, k)
+    # the search's cut treats colors mod n as integers, which holds for every
+    # n >= 2*ell; n = 2*ell + 3 puts unused colors on both sides of the window
+    for ell in range(1, 7):
+        for k in range(1, 5):
+            for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
+                els = enumerate_weight_space(n, k, ell)
+                assert len(els) == count_T(ell, k), (n, k, ell)
+
+
+def test_weight_space_size_at_ell_8():
+    assert len(enumerate_weight_space(16, 3, 8)) == count_T(8, 3) == 15767
 
 
 def test_weight_space_accepts_wide_rank():
@@ -137,16 +145,16 @@ def test_node_budget_guard():
 
 
 def test_node_budget_guard_fires_during_search():
-    # passes the up-front refusal (C(2,1) + 1 = 3 states) but a chain of ten
-    # diagrams needs more than four states
-    assert math.comb(2, 1) + 1 <= 4
+    # passes the up-front refusal (Catalan(1) + 1 = 2 states) but a chain of
+    # ten diagrams needs more than four states
+    assert young_crystal._least_states(10, 1) == 2
     with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
         enumerate_weight_space(2, 10, 1, node_budget=4)
 
 
 @pytest.mark.parametrize(
     "n, k, ell, states, size",
-    [(12, 4, 6, 27943, 694), (14, 3, 7, 183448, 2761)],
+    [(12, 4, 6, 12761, 694), (14, 3, 7, 41917, 2761)],
 )
 def test_search_visits_pinned_states(n, k, ell, states, size):
     # the exact state count: the search completes within it and not below
@@ -156,15 +164,22 @@ def test_search_visits_pinned_states(n, k, ell, states, size):
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
-def test_up_front_refusal_is_a_lower_bound(ell):
-    # at k = 1 the search visits the first step, the C(2l,l) diagrams of the
-    # l x l corner and one final step: one state more than the refusal's bound
-    least = math.comb(2 * ell, ell) + 1
-    assert len(enumerate_weight_space(2 * ell, 1, ell, node_budget=least + 1)) == 1
-    with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {least} states"):
-        enumerate_weight_space(2 * ell, 1, ell, node_budget=least)
-    with pytest.raises(NodeBudgetExceeded, match=f"at least {least} states"):
-        enumerate_weight_space(2 * ell, 1, ell, node_budget=least - 1)
+def test_up_front_refusal_is_a_lower_bound(ell, monkeypatch):
+    # the bound is the root step plus one state per element: Catalan(l) + 1
+    # at k >= 2, and 2 at k = 1, where the one element is built directly
+    n = 2 * ell
+    catalan = math.comb(2 * ell, ell) // (ell + 1)
+    bounds = {1: 2, 2: catalan + 1, 3: catalan + 1}
+    for k, least in bounds.items():
+        with pytest.raises(NodeBudgetExceeded, match=f"at least {least} states"):
+            enumerate_weight_space(n, k, ell, node_budget=least - 1)
+    # without the refusal, the search still visits at least the bound, and
+    # at k = 1 exactly the bound
+    monkeypatch.setattr(young_crystal, "_least_states", lambda k, ell: 0)
+    for k, least in bounds.items():
+        with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {least - 1} states"):
+            enumerate_weight_space(n, k, ell, node_budget=least - 1)
+    assert len(enumerate_weight_space(n, 1, ell, node_budget=2)) == 1
 
 
 def _is_crystal_element_by_definition(diagrams, n):
@@ -247,7 +262,7 @@ def _weight_space_by_brute_force(n, k, ell):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_weight_space_matches_brute_force(ell, k):
-    for n in (2 * ell, 2 * ell + 1):
+    for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
         assert enumerate_weight_space(n, k, ell) == _weight_space_by_brute_force(n, k, ell)
 
 
