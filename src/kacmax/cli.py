@@ -224,29 +224,14 @@ def _cmd_verify(args):
         raise _UsageError("--ell-max applies only to --conjecture multiplicity")
     if args.conjecture == "multiplicity" and args.n_max is not None:
         raise _UsageError("--n-max applies only to --conjecture count")
-    bad = 0
     if args.conjecture == "count":
         from .maximal_weights import verify_count_conjecture
 
         n_max = 8 if args.n_max is None else args.n_max
         _require_at_least("--n-max", n_max, 2)
         _require_at_least("--k-max", args.k_max, 1)
+        header = ("n", "k", "count", "formula", "agree")
         rows = verify_count_conjecture(n_max, args.k_max)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "conjecture": "count",
-                    "rows": [
-                        {"n": n, "k": k, "count": c, "formula": f, "agree": a}
-                        for n, k, c, f, a in rows
-                    ],
-                }
-            )
-        else:
-            print("n\tk\tcount\tformula\tagree")
-            for n, k, c, f, a in rows:
-                print(f"{n}\t{k}\t{c}\t{f}\t{str(a).lower()}")
-        bad = sum(1 for row in rows if not row[4])
     else:
         ell_max = 6 if args.ell_max is None else args.ell_max
         _require_at_least("--ell-max", ell_max, 1)
@@ -255,26 +240,18 @@ def _cmd_verify(args):
         # neither grid oracle searches, so neither reads a node budget
         paths = _BACKENDS["paths"].table(ell_max, ks, None)
         patterns = _BACKENDS["patterns"].table(ell_max, ks, None)
-        rows = [
-            (ell, k, paths[ell, k], patterns[ell, k])
-            for ell in range(1, ell_max + 1)
-            for k in ks
-        ]
-        if args.format == "json":
-            _emit_json(
-                {
-                    "conjecture": "multiplicity",
-                    "rows": [
-                        {"ell": ell, "k": k, "paths": p, "patterns": q, "agree": p == q}
-                        for ell, k, p, q in rows
-                    ],
-                }
-            )
-        else:
-            print("ell\tk\tpaths\tpatterns\tagree")
-            for ell, k, p, q in rows:
-                print(f"{ell}\t{k}\t{p}\t{q}\t{str(p == q).lower()}")
-        bad = sum(1 for _, _, p, q in rows if p != q)
+        header = ("ell", "k", "paths", "patterns", "agree")
+        cells = [(ell, k) for ell in range(1, ell_max + 1) for k in ks]
+        rows = [(*c, paths[c], patterns[c], paths[c] == patterns[c]) for c in cells]
+    if args.format == "json":
+        _emit_json(
+            {"conjecture": args.conjecture, "rows": [dict(zip(header, row)) for row in rows]}
+        )
+    else:
+        print("\t".join(header))
+        for *values, agree in rows:
+            print(*values, str(agree).lower(), sep="\t")
+    bad = sum(1 for row in rows if not row[-1])
     if bad:
         print(f"{bad} grid cells disagree", file=sys.stderr)
         return EXIT_DISAGREE
@@ -292,6 +269,11 @@ def _cmd_bijection(args):
     from .patterns import bjs_path_to_perm, bjs_perm_to_path, format_perm, parse_perm
     from .young_crystal import is_crystal_element, parse_diagram
 
+    # a mode that does not read a flag refuses it rather than ignore it
+    if args.ell is not None and args.ytuple is None:
+        raise _UsageError("--ell applies only to --ytuple")
+    if args.n is not None and args.paths is None and args.ytuple is None:
+        raise _UsageError("--n applies only to --paths and --ytuple")
     if args.perm is not None:
         path = bjs_perm_to_path(parse_perm(args.perm))
         print(path.moves)
@@ -301,10 +283,12 @@ def _cmd_bijection(args):
     elif args.paths is not None:
         seq = parse_paths(args.paths)
         n = args.n if args.n is not None else 2 * seq.ell
-        if not is_admissible(seq, n):
+        # the square's colors 1-ell..ell-1 are distinct mod n only from n = 2*ell on
+        if n < 2 * seq.ell:
+            raise _UsageError(f"the colored square needs n >= {2 * seq.ell}, got {n}")
+        if not is_admissible(seq):
             raise _UsageError(f"{seq} is not an admissible path tuple at n={n}")
-        ys = paths_to_ytuple(seq, n)
-        print(";".join(str(y) for y in ys))
+        print(";".join(str(y) for y in paths_to_ytuple(seq)))
     else:
         if args.ell is not None and args.ell < 1:
             raise _UsageError(f"--ell must be >= 1, got {args.ell}")
@@ -320,7 +304,9 @@ def _cmd_bijection(args):
         n = args.n if args.n is not None else 2 * ell
         if not is_crystal_element(ys, n):
             raise _UsageError(f"{args.ytuple} is not a crystal element at n={n}")
-        print(str(ytuple_to_paths(ys, ell, n)))
+        if n < 2 * ell:
+            raise _UsageError(f"the colored square needs n >= {2 * ell}, got {n}")
+        print(str(ytuple_to_paths(ys, ell)))
     return EXIT_OK
 
 

@@ -7,15 +7,18 @@ its height profile H_1 <= ... <= H_ell records the level of the horizontal
 step crossing each column, so the region below the path holds the bottom
 H_a cells of column a.  A (k-1)-tuple of such paths cuts the square into k
 regions; reading each region as an extended Young diagram recovers a
-containment chain.  Admissible tuples are counted by a small per-color
-transfer DP, and listed by reading the crystal search through that
-bijection.  The crystal model is imported inside the three functions that
-read it, so a process that only counts never compiles it.
+containment chain.  Colors stay integers, 1-ell..ell-1 in the square, and
+no rank n enters here: the bijection lives in the ell x ell square, and n
+matters only to whether the chain is a crystal element.  Admissible tuples
+are counted by a small per-color transfer DP, and listed by reading the
+crystal search through that bijection.  The crystal model is imported
+inside the three functions that read it, so a process that only counts
+never compiles it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import mul
 
 __all__ = [
@@ -101,28 +104,23 @@ def parse_paths(text: str) -> PathSequence:
     return PathSequence(paths[0].ell, len(paths) + 1, paths)
 
 
-def color_counts_below(p: LatticePath, ell: int, n: int) -> dict[int, int]:
+def color_counts_below(p: LatticePath) -> dict[int, int]:
     """Per-color count of the cells below the path: column a contributes its
     bottom H_a cells, colored a + b - ell for levels b = 0..H_a-1."""
-    if p.ell != ell:
-        raise ValueError(f"path crosses {p.ell} columns, expected {ell}")
-    if n < 2 * ell:
-        raise ValueError(f"the colored square needs n >= {2 * ell}, got {n}")
     counts: dict[int, int] = {}
-    for a, h in zip(range(1, ell + 1), p.heights):
-        for b in range(h):
-            c = a + b - ell
+    for bottom, h in enumerate(p.heights, 1 - p.ell):  # bottom = a - ell
+        for c in range(bottom, bottom + h):
             counts[c] = counts.get(c, 0) + 1
     return counts
 
 
-def _regions(seq: PathSequence, n: int) -> list[dict[int, int]]:
+def _regions(seq: PathSequence) -> list[dict[int, int]]:
     """Per-color counts of the k regions (Y_1, ..., Y_k) cut out by a path
     tuple, over the colors 1-ell..ell-1: Y_1 above the last path, Y_2 below
     the first, and Y_i between paths i-2 and i-1.  A count is negative where
     a path dips below the one before it."""
     ell = seq.ell
-    below = [color_counts_below(p, ell, n) for p in seq.paths]
+    below = [color_counts_below(p) for p in seq.paths]
     colors = range(1 - ell, ell)
     regions = [
         {c: ell - abs(c) - below[-1].get(c, 0) for c in colors},
@@ -133,7 +131,7 @@ def _regions(seq: PathSequence, n: int) -> list[dict[int, int]]:
     return regions
 
 
-def is_admissible(seq: PathSequence, n: int) -> bool:
+def is_admissible(seq: PathSequence) -> bool:
     """Admissibility of a path tuple: the first path stays weakly below the
     main diagonal, and each region t_i = Y_i (i >= 3) is capped by its
     predecessor and by the remaining per-color room (the first region
@@ -147,7 +145,7 @@ def is_admissible(seq: PathSequence, n: int) -> bool:
     i-1, as below[0] = Y_2 = 0), so every Y_i is 0 at the extreme colors.
     Unimodality then gives Y_i >= 0 at every color.
     """
-    ys = _regions(seq, n)
+    ys = _regions(seq)
     if not seq.paths[0].weakly_below_diagonal:
         return False
     ell = seq.ell
@@ -174,9 +172,8 @@ def enumerate_T(ell: int, k: int) -> frozenset:
 
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
-    n = 2 * ell
-    out = frozenset(ytuple_to_paths(ys, ell, n) for ys in enumerate_weight_space(n, k, ell))
-    assert all(is_admissible(seq, n) for seq in out), (ell, k)
+    out = frozenset(ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(2 * ell, k, ell))
+    assert all(map(is_admissible, out)), (ell, k)
     return out
 
 
@@ -268,7 +265,7 @@ def count_T(ell: int, k: int) -> int:
     return count_T_grid(ell, k)[ell, k]
 
 
-def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ...]:
+def paths_to_ytuple(seq: PathSequence) -> tuple[ExtendedYoungDiagram, ...]:
     """The diagram chain (Y_1, ..., Y_k) cut out by a path tuple: Y_2 is the
     region below the first path, Y_i the region between paths i-2 and i-1,
     and Y_1 the region above the last path, each read in place as a diagram.
@@ -278,14 +275,14 @@ def paths_to_ytuple(seq: PathSequence, n: int) -> tuple[ExtendedYoungDiagram, ..
     """
     from .young_crystal import from_color_counts
 
-    regions = _regions(seq, n)
+    regions = _regions(seq)
     try:
         return tuple(from_color_counts(r) for r in regions)
     except ValueError as exc:
         raise ValueError(f"path tuple does not cut into diagrams: {exc}") from None
 
 
-def ytuple_to_paths(diagrams, ell: int, n: int) -> PathSequence:
+def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
     """The path tuple whose regions are the given chain (Y_1, ..., Y_k).
 
     Cumulative color counts Y_1, then Y_1+Y_k, Y_1+Y_k+Y_{k-1}, ... trace the
@@ -299,27 +296,20 @@ def ytuple_to_paths(diagrams, ell: int, n: int) -> PathSequence:
     k = len(ys)
     if k < 2:
         raise ValueError(f"need at least two diagrams, got {k}")
-    if n < 2 * ell:
-        raise ValueError(f"the colored square needs n >= {2 * ell}, got {n}")
     full = {c: ell - abs(c) for c in range(1 - ell, ell)}
 
     def boundary(cum):
         y = from_color_counts(cum)
-        d = y.depths
-        if len(d) > ell or (d and d[0] > ell):
-            raise ValueError(f"cumulative region {d} does not fit the {ell}x{ell} square")
-        hs = tuple(ell - (d[a] if a < len(d) else 0) for a in range(ell))
-        return LatticePath.from_heights(hs)
+        if len(y.entries) > ell or y.entry(0) < -ell:
+            raise ValueError(f"cumulative region {y.depths} does not fit the {ell}x{ell} square")
+        return LatticePath.from_heights(ell + y.entry(a) for a in range(ell))
 
-    counts = [color_counts(y, n) for y in ys]
-    cum = dict(counts[0])
+    cum = Counter(color_counts(ys[0]))
     paths = [boundary(cum)]
-    for idx in range(k - 1, 1, -1):  # add Y_k, ..., Y_3
-        for c, v in counts[idx].items():
-            cum[c] = cum.get(c, 0) + v
+    for y in ys[:1:-1]:  # add Y_k, ..., Y_3
+        cum.update(color_counts(y))
         paths.append(boundary(cum))
-    for c, v in counts[1].items():  # Y_2 completes the square
-        cum[c] = cum.get(c, 0) + v
-    if any(cum.get(c, 0) != full[c] for c in full) or sum(cum.values()) != ell * ell:
+    cum.update(color_counts(ys[1]))  # Y_2 completes the square
+    if cum != full:  # counts are positive, so this rules out other colors too
         raise ValueError("diagram chain does not fill the colored square")
     return PathSequence(ell, k, tuple(reversed(paths)))

@@ -3,8 +3,9 @@
 A charge-zero extended diagram is stored as its tuple of weakly increasing
 nonpositive column entries with trailing zero columns trimmed; entry -d means
 the column holds d boxes.  The box in column i (0-based) at row r (1-based
-from the top) carries color i - r + 1, reduced mod n to the symmetric window
-(-n/2, n/2].  Containment of diagrams is pointwise domination of depths.
+from the top) carries color i - r + 1, an integer; only the weight and the
+crystal read it mod n.  Containment of diagrams is pointwise domination of
+depths.
 """
 
 from __future__ import annotations
@@ -84,19 +85,11 @@ def parse_diagram(text: str) -> ExtendedYoungDiagram:
     return ExtendedYoungDiagram.from_entries(vals)
 
 
-def _symmetric_residue(v: int, n: int) -> int:
-    r = v % n
-    return r - n if r > n // 2 else r
-
-
-def color_counts(y: ExtendedYoungDiagram, n: int) -> dict[int, int]:
-    """How many boxes of each color the diagram holds, keyed by the
-    symmetric residue in (-n/2, n/2]."""
-    check_params(n)
+def color_counts(y: ExtendedYoungDiagram) -> dict[int, int]:
+    """How many boxes of each color i - r + 1 the diagram holds."""
     counts: dict[int, int] = {}
     for i, d in enumerate(y.depths):
-        for r in range(1, d + 1):
-            c = _symmetric_residue(i - r + 1, n)
+        for c in range(i + 1 - d, i + 1):
             counts[c] = counts.get(c, 0) + 1
     return counts
 
@@ -104,39 +97,35 @@ def color_counts(y: ExtendedYoungDiagram, n: int) -> dict[int, int]:
 def diagram_weight(y: ExtendedYoungDiagram, n: int) -> AlphaExpansion:
     """The level-1 weight of a single diagram: the fundamental weight for
     node 0 minus one alpha per box, colors taken mod n."""
+    check_params(n)
     m = [0] * n
-    for c, cnt in color_counts(y, n).items():
+    for c, cnt in color_counts(y).items():
         m[c % n] += cnt
     return AlphaExpansion(n, 1, 0, tuple(m))
 
 
 def from_color_counts(counts: dict[int, int]) -> ExtendedYoungDiagram:
-    """The unique diagram whose exact (unreduced) color counts are `counts`.
+    """The unique diagram whose color counts are `counts`, or ValueError.
 
-    A color c >= 0 with count m occupies columns c..c+m-1, one box each, at
-    rows i - c + 1; a color c < 0 occupies columns 0..m-1 at rows i - c + 1.
-    Construct-and-verify: raises ValueError when no diagram realizes the
-    counts (a column with a gap, or depths not weakly decreasing).
+    The boxes of one color fill a prefix of one diagonal, so counts fix at
+    most one diagram.  A diagram of T boxes lies in the T x T square, and
+    `_fill` builds the one sub-diagram of it with exactly these counts (see
+    `enumerate_weight_space`).  It builds colors in (-T, T) only, so every
+    color in play lies within T + max|c| of 0, and the modulus
+    2 * (T + max|c|) + 1 aliases no two of them.
     """
-    columns: dict[int, set[int]] = {}
     for c, cnt in counts.items():
         if cnt < 0:
             raise ValueError(f"color {c} has negative count {cnt}")
-        start = c if c >= 0 else 0
-        for i in range(start, start + cnt):
-            columns.setdefault(i, set()).add(i - c + 1)
-    if not columns:
-        return ExtendedYoungDiagram(())
-    width = max(columns) + 1
-    depths = []
-    for i in range(width):
-        rows = columns.get(i, set())
-        d = len(rows)
-        if rows != set(range(1, d + 1)):
-            raise ValueError(f"counts leave a gap in column {i}: rows {sorted(rows)}")
-        depths.append(d)
-    if any(a < b for a, b in zip(depths, depths[1:])):
-        raise ValueError(f"counts give non-monotone column depths {depths}")
+    boxes = sum(counts.values())
+    m = 2 * (boxes + max((abs(c) for c, v in counts.items() if v), default=0)) + 1
+    room = [0] * m
+    for c, cnt in counts.items():
+        if cnt:
+            room[c % m] = cnt
+    depths = _fill((boxes,) * boxes, room, m)
+    if depths is None:
+        raise ValueError(f"no diagram has the color counts {dict(sorted(counts.items()))}")
     return ExtendedYoungDiagram.from_depths(depths)
 
 

@@ -251,9 +251,8 @@ def test_criterion_8_bijections_roundtrip():
     grid = [(ell, k) for ell in (1, 2, 3, 4) for k in (2, 3)]
     grid += [(ell, 4) for ell in (1, 2, 3)]
     for ell, k in grid:
-        n = 2 * ell
         for seq in enumerate_T(ell, k):
-            assert ytuple_to_paths(paths_to_ytuple(seq, n), ell, n) == seq
+            assert ytuple_to_paths(paths_to_ytuple(seq), ell) == seq
     assert time.time() - t0 < 60.0
     print("criterion 8 (both bijections round-trip exactly): pass")
 

@@ -18,7 +18,7 @@ from kacmax.maximal_weights import (
 from kacmax.tuple_sets import enumerate_M, enumerate_S_bruteforce
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
-    color_counts,
+    diagram_weight,
     enumerate_weight_space,
     is_crystal_element,
 )
@@ -46,7 +46,7 @@ _OUT_OF_RANGE = {
     "enumerate_M s": lambda: enumerate_M(5, 3, 3, 0, 0),
     "enumerate_S_bruteforce n": lambda: enumerate_S_bruteforce(1, 0, 0, 0),
     "enumerate_S_bruteforce s": lambda: enumerate_S_bruteforce(3, 3, 0, 0),
-    "color_counts n": lambda: color_counts(_Y, 1),
+    "diagram_weight n": lambda: diagram_weight(_Y, 1),
     "is_crystal_element n": lambda: is_crystal_element((_Y,), 1),
     "enumerate_weight_space n": lambda: enumerate_weight_space(1, 1, 1),
     "enumerate_weight_space k": lambda: enumerate_weight_space(4, 0, 1),

@@ -255,6 +255,29 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
+    # the square's colors alias mod n < 2*ell; the CLI refuses, the library has no n
+    for argv in (
+        ("bijection", "--paths", "RURU;RURU", "--n", "3"),
+        ("bijection", "--ytuple", "[-2,-1];[-1];[]", "--n", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "needs n >= 4, got 3" in err, argv
+    # a crystal element whose diagram leaves the 2x2 square
+    code, out, err = run(capsys, "bijection", "--ytuple", "[-3];[-1]", "--n", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "region (3,) does not fit the 2x2 square" in err
+    # a flag the mode never reads is refused, not ignored
+    for argv, flag in (
+        (("bijection", "--perm", "1342", "--n", "5"), "--n"),
+        (("bijection", "--path", "RRUURURU", "--n", "5"), "--n"),
+        (("bijection", "--perm", "1342", "--ell", "2"), "--ell"),
+        (("bijection", "--path", "RRUURURU", "--ell", "7"), "--ell"),
+        (("bijection", "--paths", "RURU;RURU", "--ell", "9"), "--ell"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and flag in err, argv
     for ell in ("0", "-1"):
         code, out, err = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]", "--ell", ell)
         assert (code, out) == (1, ""), ell

@@ -51,13 +51,14 @@ def test_sequence_validation():
 
 
 def test_below_region_colors():
-    assert color_counts_below(LatticePath("RRUU"), 2, 4) == {}
-    assert color_counts_below(LatticePath("RURU"), 2, 4) == {0: 1}
-    assert color_counts_below(LatticePath("RURURU"), 3, 6) == {-1: 1, 0: 1, 1: 1}
-    with pytest.raises(ValueError):
-        color_counts_below(LatticePath("RURU"), 3, 6)
-    with pytest.raises(ValueError):
-        color_counts_below(LatticePath("RURU"), 2, 3)
+    assert color_counts_below(LatticePath("RRUU")) == {}
+    assert color_counts_below(LatticePath("RURU")) == {0: 1}
+    assert color_counts_below(LatticePath("RURURU")) == {-1: 1, 0: 1, 1: 1}
+    assert color_counts_below(LatticePath("RRRUUU")) == {}
+    assert color_counts_below(LatticePath("URRRUU")) == {-2: 1, -1: 1, 0: 1}
+    assert color_counts_below(LatticePath("UUURRR")) == {
+        -2: 1, -1: 2, 0: 3, 1: 2, 2: 1,
+    }
 
 
 def test_triangle_counts_frozen():
@@ -175,7 +176,7 @@ def test_admissibility_filter_is_the_whole_story():
                 for cand in all_paths:
                     if all(ch >= ph for ch, ph in zip(cand.heights, chosen[-1].heights)):
                         stack.append(chosen + (cand,))
-            kept = {str(t) for t in tuples if is_admissible(t, 2 * ell)}
+            kept = {str(t) for t in tuples if is_admissible(t)}
             assert kept == {str(t) for t in enumerate_T(ell, k)}, (ell, k)
             assert len(kept) == grid[ell, k], (ell, k)
 
@@ -193,58 +194,57 @@ def test_bijection_theorem_elementwise(ell, k, n):
     for chosen in itertools.product(_all_paths(ell), repeat=k - 1):
         seq = PathSequence(ell, k, chosen)
         try:
-            ys = paths_to_ytuple(seq, n)
+            ys = paths_to_ytuple(seq)
         except ValueError:
-            assert not is_admissible(seq, n), str(seq)
+            assert not is_admissible(seq), str(seq)
             continue
-        admissible = is_admissible(seq, n)
+        admissible = is_admissible(seq)
         assert admissible == is_crystal_element(ys, n), str(seq)
         if admissible:
-            assert ytuple_to_paths(ys, ell, n) == seq, str(seq)
+            assert ytuple_to_paths(ys, ell) == seq, str(seq)
             members += 1
     assert members == count_T(ell, k)
 
 
 def test_paths_to_diagrams_frozen():
     seq = parse_paths("RURU;RURU")
-    ys = paths_to_ytuple(seq, 4)
+    ys = paths_to_ytuple(seq)
     assert [str(y) for y in ys] == ["[-2,-1]", "[-1]", "[]"]
     seq2 = parse_paths("RRUU;RRUU")
-    ys2 = paths_to_ytuple(seq2, 4)
+    ys2 = paths_to_ytuple(seq2)
     assert [str(y) for y in ys2] == ["[-2,-2]", "[]", "[]"]
 
 
 def test_paths_to_diagrams_roundtrip():
     for ell in (1, 2, 3):
         for k in (2, 3, 4):
-            n = 2 * ell
             for seq in enumerate_T(ell, k):
-                ys = paths_to_ytuple(seq, n)
-                back = ytuple_to_paths(ys, ell, n)
+                ys = paths_to_ytuple(seq)
+                back = ytuple_to_paths(ys, ell)
                 assert back == seq, (ell, k, str(seq))
 
 
 def test_inadmissible_tuples_rejected():
     # nested the wrong way: second path dips below the first
     bad = PathSequence(2, 3, (LatticePath("RURU"), LatticePath("RRUU")))
-    assert not is_admissible(bad, 4)
+    assert not is_admissible(bad)
     with pytest.raises(ValueError):
-        paths_to_ytuple(bad, 4)
+        paths_to_ytuple(bad)
     # leaves a floating box between the regions
     bad2 = PathSequence(2, 3, (LatticePath("RURU"), LatticePath("URRU")))
-    assert not is_admissible(bad2, 4)
+    assert not is_admissible(bad2)
     with pytest.raises(ValueError):
-        paths_to_ytuple(bad2, 4)
+        paths_to_ytuple(bad2)
     # cuts into diagrams, yet the third region outgrows the second
     bad3 = parse_paths("RRUU;RURU")
-    assert not is_admissible(bad3, 4)
-    assert [str(y) for y in paths_to_ytuple(bad3, 4)] == ["[-2,-1]", "[]", "[-1]"]
+    assert not is_admissible(bad3)
+    assert [str(y) for y in paths_to_ytuple(bad3)] == ["[-2,-1]", "[]", "[-1]"]
     # nested and unimodal, but at color 0 the regions Y_2, Y_3, Y_4 hold
     # 2, 1, 1 cells: with Y_2 counted twice that is 5 before Y_4, leaving no
     # room in the 5 cells of that color
     bad4 = parse_paths("RURRURUURU;RUURURURRU;RUUUURRRRU")
-    assert not is_admissible(bad4, 10)
-    assert not is_crystal_element(paths_to_ytuple(bad4, 10), 10)
+    assert not is_admissible(bad4)
+    assert not is_crystal_element(paths_to_ytuple(bad4), 10)
 
 
 def test_enumeration_inherits_the_crystal_budget():

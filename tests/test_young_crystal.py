@@ -22,7 +22,7 @@ from kacmax.young_crystal import (
 
 def test_fifteen_box_example():
     y = ExtendedYoungDiagram.from_entries((-4, -4, -3, -2, -2))
-    assert color_counts(y, 8) == {
+    assert color_counts(y) == {
         -3: 1, -2: 2, -1: 2, 0: 3, 1: 2, 2: 2, 3: 2, 4: 1,
     }
     assert diagram_weight(y, 8).m == (3, 2, 2, 2, 1, 1, 2, 2)
@@ -53,8 +53,10 @@ def test_parse_roundtrip():
 
 def test_from_color_counts_rebuilds():
     y = ExtendedYoungDiagram.from_entries((-4, -4, -3, -2, -2))
-    assert from_color_counts(color_counts(y, 8)) == y
+    assert from_color_counts(color_counts(y)) == y
     assert from_color_counts({}) == ExtendedYoungDiagram.from_entries(())
+    # zero counts, near or far, change nothing
+    assert from_color_counts({0: 1, -40: 0, 7: 0}) == ExtendedYoungDiagram.from_entries((-1,))
 
 
 def test_from_color_counts_rejects_gaps():
@@ -64,32 +66,79 @@ def test_from_color_counts_rejects_gaps():
     # column depths must weakly decrease left to right
     with pytest.raises(ValueError):
         from_color_counts({0: 1, 1: 2, 2: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative count"):
         from_color_counts({0: -1})
+    with pytest.raises(ValueError, match="negative count"):
+        from_color_counts({0: 1, 1: 1, -1: 2, 5: -1})
+
+
+def _from_color_counts_by_rows(counts):
+    """The definition `from_color_counts` is checked against, built from
+    sets: color c >= 0 with count m puts one box in each of the columns
+    c..c+m-1, color c < 0 one in each of the columns 0..m-1, at row
+    i - c + 1 of column i; the counts are realizable when every column is a
+    gapless prefix of rows and the depths weakly decrease."""
+    columns = {}
+    for c, cnt in counts.items():
+        if cnt < 0:
+            raise ValueError(f"color {c} has negative count {cnt}")
+        start = c if c >= 0 else 0
+        for i in range(start, start + cnt):
+            columns.setdefault(i, set()).add(i - c + 1)
+    depths = []
+    for i in range(max(columns, default=-1) + 1):
+        rows = columns.get(i, set())
+        if rows != set(range(1, len(rows) + 1)):
+            raise ValueError(f"counts leave a gap in column {i}")
+        depths.append(len(rows))
+    if any(a < b for a, b in zip(depths, depths[1:])):
+        raise ValueError(f"counts give non-monotone column depths {depths}")
+    return ExtendedYoungDiagram.from_depths(depths)
+
+
+def _built_or_refused(build, counts):
+    try:
+        return build(counts)
+    except ValueError as exc:
+        return "negative" if "negative count" in str(exc) else "refused"
+
+
+def test_from_color_counts_matches_the_row_builder():
+    # seeded random count dicts over a window of the colors -5..5 with
+    # counts 0..3, some with a negative count or zero counts at far colors;
+    # both builders give the same diagram or both refuse, for the same reason
+    rng = random.Random(13)
+    realizable = 0
+    for trial in range(20000):
+        window = range(rng.randint(-5, 0), rng.randint(0, 5) + 1)
+        counts = {c: rng.choice((0, 0, 0, 0, 1, 1, 2, 3)) for c in window}
+        if trial % 50 == 0:
+            counts[rng.randint(-5, 5)] = -1
+        if trial % 7 == 0:
+            counts[rng.choice((-60, 41))] = 0
+        want = _built_or_refused(_from_color_counts_by_rows, counts)
+        assert _built_or_refused(from_color_counts, counts) == want, counts
+        realizable += isinstance(want, ExtendedYoungDiagram)
+    # and every diagram of at most 7 boxes, from its own counts
+    for y in _diagrams_up_to(7):
+        assert from_color_counts(color_counts(y)) == _from_color_counts_by_rows(color_counts(y))
+    assert realizable > 1000
 
 
 @st.composite
-def square_diagrams(draw):
-    # diagrams that fit in an ell x ell corner, where no two boxes share a color
-    ell = draw(st.integers(min_value=1, max_value=6))
-    width = draw(st.integers(min_value=0, max_value=ell))
-    depth_seq = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=ell), min_size=width, max_size=width
-        )
-    )
-    depths = tuple(sorted(depth_seq, reverse=True))
-    return ell, tuple(-d for d in depths)
+def diagrams(draw):
+    # any diagram of at most 8 columns and depth 8, in the ell x ell corner or not
+    depth_seq = draw(st.lists(st.integers(min_value=1, max_value=8), max_size=8))
+    return tuple(-d for d in sorted(depth_seq, reverse=True))
 
 
-@given(square_diagrams())
-def test_color_counts_roundtrip(case):
-    ell, entries = case
-    n = 2 * ell
+@given(diagrams())
+def test_color_counts_roundtrip(entries):
     y = ExtendedYoungDiagram.from_entries(entries)
-    counts = color_counts(y, n)
+    counts = color_counts(y)
     assert sum(counts.values()) == sum(y.depths)
-    assert all(-(n // 2) < c <= n // 2 for c in counts)
+    # colors are not reduced: the box in column i, row r has color i - r + 1
+    assert all(1 + y.entry(0) <= c < len(y.entries) for c in counts)
     assert from_color_counts(counts) == y
 
 
