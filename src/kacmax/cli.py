@@ -13,7 +13,6 @@ job never compiles the tuple sets.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections import Counter, namedtuple
@@ -51,6 +50,8 @@ def _nonnegative_int(text):
 
 
 def _emit_json(obj):
+    import json
+
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
@@ -259,37 +260,37 @@ def _cmd_verify(args):
 
 
 def _cmd_bijection(args):
-    from .lattice_paths import (
-        LatticePath,
-        is_admissible,
-        parse_paths,
-        paths_to_ytuple,
-        ytuple_to_paths,
-    )
-    from .patterns import bjs_path_to_perm, bjs_perm_to_path, format_perm, parse_perm
-    from .young_crystal import is_crystal_element, parse_diagram
-
     # a mode that does not read a flag refuses it rather than ignore it
     if args.ell is not None and args.ytuple is None:
         raise _UsageError("--ell applies only to --ytuple")
     if args.n is not None and args.paths is None and args.ytuple is None:
         raise _UsageError("--n applies only to --paths and --ytuple")
     if args.perm is not None:
+        from .patterns import bjs_perm_to_path, parse_perm
+
         path = bjs_perm_to_path(parse_perm(args.perm))
         print(path.moves)
     elif args.path is not None:
+        from .lattice_paths import LatticePath
+        from .patterns import bjs_path_to_perm, format_perm
+
         perm = bjs_path_to_perm(LatticePath(args.path))
         print(format_perm(perm))
     elif args.paths is not None:
+        from .lattice_paths import is_admissible, parse_paths, paths_to_ytuple
+
         seq = parse_paths(args.paths)
         n = args.n if args.n is not None else 2 * seq.ell
         # the square's colors 1-ell..ell-1 are distinct mod n only from n = 2*ell on
         if n < 2 * seq.ell:
             raise _UsageError(f"the colored square needs n >= {2 * seq.ell}, got {n}")
         if not is_admissible(seq):
-            raise _UsageError(f"{seq} is not an admissible path tuple at n={n}")
+            raise _UsageError(f"{seq} is not an admissible path tuple")
         print(";".join(str(y) for y in paths_to_ytuple(seq)))
     else:
+        from .lattice_paths import ytuple_to_paths
+        from .young_crystal import is_crystal_element, parse_diagram
+
         if args.ell is not None and args.ell < 1:
             raise _UsageError(f"--ell must be >= 1, got {args.ell}")
         ys = tuple(parse_diagram(part) for part in args.ytuple.split(";"))

@@ -1,19 +1,19 @@
 """Nested lattice paths in a colored square and their diagram readout.
 
-An ell x ell square is colored so the cell with lower-right corner (a, b)
-(1 <= a <= ell columns, 0 <= b <= ell-1 levels) carries color a + b - ell.
 A monotone R/U path from (0,0) to (ell,ell) is stored by its move string;
 its height profile H_1 <= ... <= H_ell records the level of the horizontal
-step crossing each column, so the region below the path holds the bottom
-H_a cells of column a.  A (k-1)-tuple of such paths cuts the square into k
-regions; reading each region as an extended Young diagram recovers a
-containment chain.  Colors stay integers, 1-ell..ell-1 in the square, and
-no rank n enters here: the bijection lives in the ell x ell square, and n
-matters only to whether the chain is a crystal element.  Admissible tuples
-are counted by a small per-color transfer DP, and listed by reading the
-crystal search through that bijection.  The crystal model is imported
-inside the three functions that read it, so a process that only counts
-never compiles it.
+step crossing each column a of the ell x ell square.  The cells above the
+path form an extended Young diagram set in the square's top-left corner,
+its column a-1 of depth ell - H_a, and every cell of the square takes the
+color of that diagram position (see `young_crystal`), an integer in
+1-ell..ell-1.  A (k-1)-tuple of such paths cuts the square into k regions;
+reading each region as an extended Young diagram recovers a containment
+chain.  No rank n enters here: the bijection lives in the ell x ell square,
+and n matters only to whether the chain is a crystal element.  Admissible
+tuples are counted by a small per-color transfer DP, and listed by reading
+the crystal search through that bijection.  The crystal model is imported
+inside the functions that read it, so a process that only counts never
+compiles it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "LatticePath",
     "PathSequence",
     "parse_paths",
-    "color_counts_below",
     "is_admissible",
     "enumerate_T",
     "count_T",
@@ -104,14 +103,25 @@ def parse_paths(text: str) -> PathSequence:
     return PathSequence(paths[0].ell, len(paths) + 1, paths)
 
 
-def color_counts_below(p: LatticePath) -> dict[int, int]:
-    """Per-color count of the cells below the path: column a contributes its
-    bottom H_a cells, colored a + b - ell for levels b = 0..H_a-1."""
-    counts: dict[int, int] = {}
-    for bottom, h in enumerate(p.heights, 1 - p.ell):  # bottom = a - ell
-        for c in range(bottom, bottom + h):
-            counts[c] = counts.get(c, 0) + 1
-    return counts
+def _square(ell: int) -> dict[int, int]:
+    """Per-color cell counts of the whole ell x ell square."""
+    return {c: ell - abs(c) for c in range(1 - ell, ell)}
+
+
+def _diagram_above(p: LatticePath) -> ExtendedYoungDiagram:
+    """The cells above the path as a diagram in the square's top-left
+    corner: column a-1 holds the ell - H_a cells above column a's step."""
+    from .young_crystal import ExtendedYoungDiagram
+
+    return ExtendedYoungDiagram.from_depths(p.ell - h for h in p.heights)
+
+
+def _path_below(y: ExtendedYoungDiagram, ell: int) -> LatticePath:
+    """The path with exactly the diagram y above it in the ell x ell square,
+    the inverse of `_diagram_above`; ValueError when y does not fit."""
+    if len(y.entries) > ell or y.entry(0) < -ell:
+        raise ValueError(f"cumulative region {y.depths} does not fit the {ell}x{ell} square")
+    return LatticePath.from_heights(ell + y.entry(a) for a in range(ell))
 
 
 def _regions(seq: PathSequence) -> list[dict[int, int]]:
@@ -119,15 +129,16 @@ def _regions(seq: PathSequence) -> list[dict[int, int]]:
     tuple, over the colors 1-ell..ell-1: Y_1 above the last path, Y_2 below
     the first, and Y_i between paths i-2 and i-1.  A count is negative where
     a path dips below the one before it."""
-    ell = seq.ell
-    below = [color_counts_below(p) for p in seq.paths]
-    colors = range(1 - ell, ell)
+    from .young_crystal import color_counts
+
+    above = [color_counts(_diagram_above(p)) for p in seq.paths]
+    square = _square(seq.ell)
     regions = [
-        {c: ell - abs(c) - below[-1].get(c, 0) for c in colors},
-        {c: below[0].get(c, 0) for c in colors},
+        {c: above[-1].get(c, 0) for c in square},
+        {c: v - above[0].get(c, 0) for c, v in square.items()},
     ]
-    for prev, cur in zip(below, below[1:]):
-        regions.append({c: cur.get(c, 0) - prev.get(c, 0) for c in colors})
+    for prev, cur in zip(above, above[1:]):
+        regions.append({c: prev.get(c, 0) - cur.get(c, 0) for c in square})
     return regions
 
 
@@ -141,13 +152,13 @@ def is_admissible(seq: PathSequence) -> bool:
     per color, so that is not checked on its own.  The extreme colors
     +-(ell-1) hold one cell each, and Y_2 is 0 there by the diagonal
     condition.  There the caps chain Y_i <= Y_{i-1} <= ... <= Y_2 = 0, while
-    Y_3 + ... + Y_i = below[i-2] >= 0 (the cells of that color below path
-    i-1, as below[0] = Y_2 = 0), so every Y_i is 0 at the extreme colors.
+    Y_2 + Y_3 + ... + Y_i >= 0 counts the cells of that color below path
+    i-1, so every Y_i is 0 at the extreme colors.
     Unimodality then gives Y_i >= 0 at every color.
     """
-    ys = _regions(seq)
     if not seq.paths[0].weakly_below_diagonal:
         return False
+    ys = _regions(seq)
     ell = seq.ell
     spent = {c: 2 * v for c, v in ys[1].items()}
     for prev, cur in zip(ys[1:], ys[2:]):
@@ -285,9 +296,9 @@ def paths_to_ytuple(seq: PathSequence) -> tuple[ExtendedYoungDiagram, ...]:
 def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
     """The path tuple whose regions are the given chain (Y_1, ..., Y_k).
 
-    Cumulative color counts Y_1, then Y_1+Y_k, Y_1+Y_k+Y_{k-1}, ... trace the
-    boundaries p_{k-1}, p_{k-2}, ..., p_1 (each cumulative region placed as a
-    diagram in the top-left of the square); adding Y_2 last must complete the
+    Cumulative color counts Y_1, then Y_1+Y_k, Y_1+Y_k+Y_{k-1}, ... are the
+    diagrams above p_{k-1}, p_{k-2}, ..., p_1, which `_path_below` turns
+    into the paths themselves; adding Y_2 last must complete the
     square exactly.  Raises ValueError when some stage is not realizable.
     """
     from .young_crystal import color_counts, from_color_counts
@@ -296,20 +307,12 @@ def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
     k = len(ys)
     if k < 2:
         raise ValueError(f"need at least two diagrams, got {k}")
-    full = {c: ell - abs(c) for c in range(1 - ell, ell)}
-
-    def boundary(cum):
-        y = from_color_counts(cum)
-        if len(y.entries) > ell or y.entry(0) < -ell:
-            raise ValueError(f"cumulative region {y.depths} does not fit the {ell}x{ell} square")
-        return LatticePath.from_heights(ell + y.entry(a) for a in range(ell))
-
     cum = Counter(color_counts(ys[0]))
-    paths = [boundary(cum)]
+    paths = [_path_below(from_color_counts(cum), ell)]
     for y in ys[:1:-1]:  # add Y_k, ..., Y_3
         cum.update(color_counts(y))
-        paths.append(boundary(cum))
+        paths.append(_path_below(from_color_counts(cum), ell))
     cum.update(color_counts(ys[1]))  # Y_2 completes the square
-    if cum != full:  # counts are positive, so this rules out other colors too
+    if cum != _square(ell):  # counts are positive, so this rules out other colors too
         raise ValueError("diagram chain does not fill the colored square")
     return PathSequence(ell, k, tuple(reversed(paths)))

@@ -345,7 +345,9 @@ def test_cli_imports_no_process_machinery():
 def test_commands_load_only_what_they_run():
     # importing the CLI compiles no library module and no dataclasses
     # machinery; each command then loads only the route it runs, and a
-    # multiplicity DP loads neither the other DP nor the crystal model
+    # multiplicity DP loads neither the other DP nor the crystal model;
+    # the permutation bijection loads no crystal model, and TSV output
+    # loads no `json`
     loaded = _modules_loaded()
     assert not loaded & {"dataclasses", "inspect"}
     assert {m for m in loaded if m.startswith("kacmax.")} == {"kacmax.cli"}
@@ -364,6 +366,8 @@ def test_commands_load_only_what_they_run():
         (("table", "--oracle", "patterns", "--ell-max", "3", "--k-max", "3"), not_patterns),
         (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "3"),
          weight_lists | crystal),
+        (("bijection", "--perm", "1342"), weight_lists | crystal),
+        (("count", "--n", "6", "--k", "3"), {"json"}),
     ):
         loaded = _modules_loaded(*argv)
         assert not loaded & never, (argv, sorted(loaded & never))

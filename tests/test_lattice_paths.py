@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from kacmax.lattice_paths import (
     LatticePath,
     PathSequence,
-    color_counts_below,
     count_T,
     count_T_grid,
     enumerate_T,
@@ -15,8 +14,10 @@ from kacmax.lattice_paths import (
     parse_paths,
     paths_to_ytuple,
     ytuple_to_paths,
+    _diagram_above,
+    _path_below,
 )
-from kacmax.young_crystal import NodeBudgetExceeded, is_crystal_element
+from kacmax.young_crystal import NodeBudgetExceeded, color_counts, is_crystal_element
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -51,14 +52,26 @@ def test_sequence_validation():
 
 
 def test_below_region_colors():
-    assert color_counts_below(LatticePath("RRUU")) == {}
-    assert color_counts_below(LatticePath("RURU")) == {0: 1}
-    assert color_counts_below(LatticePath("RURURU")) == {-1: 1, 0: 1, 1: 1}
-    assert color_counts_below(LatticePath("RRRUUU")) == {}
-    assert color_counts_below(LatticePath("URRRUU")) == {-2: 1, -1: 1, 0: 1}
-    assert color_counts_below(LatticePath("UUURRR")) == {
+    # the cells below a path are the square's content minus the diagram
+    # above it, colored as the crystal model colors that diagram
+    def below(moves):
+        p = LatticePath(moves)
+        above = color_counts(_diagram_above(p))
+        counts = {c: p.ell - abs(c) - above.get(c, 0) for c in range(1 - p.ell, p.ell)}
+        return {c: v for c, v in counts.items() if v}
+
+    assert below("RRUU") == {}
+    assert below("RURU") == {0: 1}
+    assert below("RURURU") == {-1: 1, 0: 1, 1: 1}
+    assert below("RRRUUU") == {}
+    assert below("URRRUU") == {-2: 1, -1: 1, 0: 1}
+    assert below("UUURRR") == {
         -2: 1, -1: 2, 0: 3, 1: 2, 2: 1,
     }
+    # the diagram above a path gives the path back
+    for ell in range(1, 6):
+        for p in _all_paths(ell):
+            assert _path_below(_diagram_above(p), ell) == p
 
 
 def test_triangle_counts_frozen():

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +67,54 @@ def test_count_formula_matches_cyclic_sieving():
         columns = _qbinomial_columns_mod(n, 59)
         for k in range(1, 60):
             assert count_formula(n, k) == columns[k][0], (n, k)
+
+
+def _kac_maximal_weights(n, k, s):
+    """The m-vectors of the maximal dominant weights of V((k-1)L0 + Ls) by
+    Kac's theorem (Infinite-dimensional Lie algebras, 12.6): one for each
+    dominant level-k weight sum_i a_i*L_i in the highest weight's class
+    modulo the root lattice, that is sum(a) = k and sum(i*a_i) = s mod n,
+    namely the largest weight sum_i a_i*L_i - j*delta below the highest
+    weight.  Pairing with the coroots gives the cyclic second differences
+    m_{i+1} - 2*m_i + m_{i-1} = a_i - c_i, c the highest weight's labels;
+    they fix m up to adding delta = (1, ..., 1), and the maximal weight is
+    the one with min m = 0."""
+    c = [0] * n
+    c[0] += k - 1
+    c[s] += 1
+    out = []
+    for nodes in itertools.combinations_with_replacement(range(n), k):
+        if sum(nodes) % n != s:
+            continue
+        a = [nodes.count(i) for i in range(n)]
+        # m_0 = 0 and m_1 = t give m_j = j*t + f_j; closing the cycle at
+        # m_n = m_0 fixes t
+        f = [0, 0]
+        for j in range(1, n):
+            f.append(2 * f[j] - f[j - 1] + a[j] - c[j])
+        t, r = divmod(-f[n], n)
+        assert r == 0, (n, k, s, a)
+        m = [j * t + f[j] for j in range(n)]
+        assert m[1] - 2 * m[0] + m[n - 1] == a[0] - c[0], (n, k, s, a)
+        low = min(m)
+        out.append(tuple(v - low for v in m))
+    return sorted(out)
+
+
+def test_weights_match_kac_theorem_at_every_s():
+    # an oracle that shares nothing with the tuple families, at every s;
+    # the count is also the coefficient of q^s in [n-1+k choose k]_q modulo
+    # q^n - 1, as the level-k labels with sum(i*a_i) = s mod n are the
+    # k-multisets of Z/n with sum s
+    t0 = time.time()
+    for n in range(2, 13):
+        columns = _qbinomial_columns_mod(n, 5)
+        for k in range(1, 6):
+            for s in range(n):
+                report = maximal_dominant_weights(n, k, s)
+                assert [w.m for w in report.weights] == _kac_maximal_weights(n, k, s), (n, k, s)
+                assert report.count == columns[k][s], (n, k, s)
+    assert time.time() - t0 < 30.0
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=8))
