@@ -30,6 +30,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are matched whole: with abbreviations on, a removed flag could
+    # still parse as a longer one (`multiplicity --n` as `--node-budget`)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad arguments; the contract here
     # reserves 2 for genuine disagreements, so route usage errors to 1
     def error(self, message):
@@ -56,11 +61,12 @@ def _emit_json(obj):
 
 
 # -- multiplicity backends ---------------------------------------------------
-# `cell(ell, k, n, node_budget)` gives one multiplicity; `table(ell_max, ks,
-# node_budget)` gives {(ell, k): multiplicity} with n = 2*ell for every
+# `cell(ell, k, node_budget)` gives the multiplicity of k*Lambda_0 - gamma_ell,
+# which is the same at every rank n >= 2*ell, so no backend takes a rank;
+# `table(ell_max, ks, node_budget)` gives {(ell, k): multiplicity} for every
 # 1 <= ell <= ell_max and k in ks (and possibly more cells).
 
-def _mult_paths(ell, k, _n, _node_budget):
+def _mult_paths(ell, k, _node_budget):
     from .lattice_paths import count_T
 
     return count_T(ell, k)
@@ -72,7 +78,7 @@ def _table_paths(ell_max, ks, _node_budget):
     return count_T_grid(ell_max, ks[-1])
 
 
-def _mult_patterns(ell, k, _n, _node_budget):
+def _mult_patterns(ell, k, _node_budget):
     from .patterns import count_avoiding
 
     return count_avoiding(ell, k)
@@ -84,10 +90,10 @@ def _table_patterns(ell_max, ks, _node_budget):
     return count_avoiding_grid(ell_max, ks[-1])
 
 
-def _mult_crystal(ell, k, n, node_budget):
+def _mult_crystal(ell, k, node_budget):
     from .young_crystal import enumerate_weight_space
 
-    return len(enumerate_weight_space(n, k, ell, node_budget=node_budget))
+    return len(enumerate_weight_space(ell, k, node_budget=node_budget))
 
 
 def _table_crystal(ell_max, ks, node_budget):
@@ -100,7 +106,7 @@ def _table_crystal(ell_max, ks, node_budget):
 
     grid = {}
     for ell in range(1, ell_max + 1):
-        els = enumerate_weight_space(2 * ell, ks[-1], ell, node_budget=node_budget)
+        els = enumerate_weight_space(ell, ks[-1], node_budget=node_budget)
         nonempty = Counter(sum(1 for y in el if y.entries) for el in els)
         for k in ks:
             grid[ell, k] = sum(m for j, m in nonempty.items() if j <= k)
@@ -166,18 +172,15 @@ def _cmd_count(args):
 
 
 def _cmd_multiplicity(args):
-    n = args.n if args.n is not None else 2 * args.ell
-    if n < 2 * args.ell:
-        raise _UsageError(f"need n >= {2 * args.ell} for ell={args.ell}, got {n}")
     names = list(_BACKENDS) if args.check_all else [args.oracle]
-    values = {name: _BACKENDS[name].cell(args.ell, args.k, n, args.node_budget) for name in names}
+    values = {name: _BACKENDS[name].cell(args.ell, args.k, args.node_budget) for name in names}
     agree = len(set(values.values())) == 1
     if args.format == "json":
         _emit_json(
             {
                 "ell": args.ell,
                 "k": args.k,
-                "n": n,
+                "n": 2 * args.ell,
                 "values": values,
                 "conjectural": sorted(set(names) & _CONJECTURAL),
                 "agree": agree,
@@ -260,11 +263,6 @@ def _cmd_verify(args):
 
 
 def _cmd_bijection(args):
-    # a mode that does not read a flag refuses it rather than ignore it
-    if args.ell is not None and args.ytuple is None:
-        raise _UsageError("--ell applies only to --ytuple")
-    if args.n is not None and args.paths is None and args.ytuple is None:
-        raise _UsageError("--n applies only to --paths and --ytuple")
     if args.perm is not None:
         from .patterns import bjs_perm_to_path, parse_perm
 
@@ -280,10 +278,6 @@ def _cmd_bijection(args):
         from .lattice_paths import is_admissible, parse_paths, paths_to_ytuple
 
         seq = parse_paths(args.paths)
-        n = args.n if args.n is not None else 2 * seq.ell
-        # the square's colors 1-ell..ell-1 are distinct mod n only from n = 2*ell on
-        if n < 2 * seq.ell:
-            raise _UsageError(f"the colored square needs n >= {2 * seq.ell}, got {n}")
         if not is_admissible(seq):
             raise _UsageError(f"{seq} is not an admissible path tuple")
         print(";".join(str(y) for y in paths_to_ytuple(seq)))
@@ -291,22 +285,14 @@ def _cmd_bijection(args):
         from .lattice_paths import ytuple_to_paths
         from .young_crystal import is_crystal_element, parse_diagram
 
-        if args.ell is not None and args.ell < 1:
-            raise _UsageError(f"--ell must be >= 1, got {args.ell}")
         ys = tuple(parse_diagram(part) for part in args.ytuple.split(";"))
         boxes = sum(y.boxes for y in ys)
-        if args.ell is None and boxes == 0:
-            raise _UsageError("the diagrams hold no boxes, so they fill no square with ell >= 1")
-        ell = args.ell if args.ell is not None else math.isqrt(boxes)
-        if ell * ell != boxes:
-            raise _UsageError(
-                f"diagrams hold {boxes} boxes, not a filled square; pass --ell explicitly"
-            )
-        n = args.n if args.n is not None else 2 * ell
-        if not is_crystal_element(ys, n):
-            raise _UsageError(f"{args.ytuple} is not a crystal element at n={n}")
-        if n < 2 * ell:
-            raise _UsageError(f"the colored square needs n >= {2 * ell}, got {n}")
+        ell = math.isqrt(boxes)
+        if ell < 1 or ell * ell != boxes:
+            raise _UsageError(f"the diagrams hold {boxes} boxes, not ell^2 for any ell >= 1")
+        # membership is the same at every n >= 2*ell (see enumerate_weight_space)
+        if not is_crystal_element(ys, 2 * ell):
+            raise _UsageError(f"{args.ytuple} is not a crystal element at n={2 * ell}")
         print(str(ytuple_to_paths(ys, ell)))
     return EXIT_OK
 
@@ -335,7 +321,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("multiplicity", help="weight multiplicity for one (ell, k)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="defaults to 2*ell")
     p.add_argument("--oracle", choices=sorted(_BACKENDS), default="paths")
     p.add_argument("--check-all", action="store_true", help="run every backend and compare")
     p.add_argument("--node-budget", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
@@ -365,8 +350,6 @@ def _build_parser() -> _Parser:
     group.add_argument("--path", help="single R/U path, e.g. RRUURURU")
     group.add_argument("--paths", help="semicolon-joined path tuple")
     group.add_argument("--ytuple", help="semicolon-joined diagrams, e.g. [-2,-1];[-1]")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
     p.set_defaults(func=_cmd_bijection)
 
     return parser

@@ -174,7 +174,8 @@ def is_admissible(seq: PathSequence) -> bool:
 
 def enumerate_T(ell: int, k: int) -> frozenset:
     """Every admissible path tuple: the crystal elements of weight
-    k*Lambda_0 - gamma_ell at n = 2*ell, sent through `ytuple_to_paths`.
+    k*Lambda_0 - gamma_ell, the same at every rank n >= 2*ell, sent through
+    `ytuple_to_paths`.
 
     The search is `enumerate_weight_space` at its default node budget, so
     large cases raise NodeBudgetExceeded.
@@ -183,7 +184,7 @@ def enumerate_T(ell: int, k: int) -> frozenset:
 
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
-    out = frozenset(ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(2 * ell, k, ell))
+    out = frozenset(ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(ell, k))
     assert all(map(is_admissible, out)), (ell, k)
     return out
 

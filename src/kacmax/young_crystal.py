@@ -3,9 +3,13 @@
 A charge-zero extended diagram is stored as its tuple of weakly increasing
 nonpositive column entries with trailing zero columns trimmed; entry -d means
 the column holds d boxes.  The box in column i (0-based) at row r (1-based
-from the top) carries color i - r + 1, an integer; only the weight and the
-crystal read it mod n.  Containment of diagrams is pointwise domination of
-depths.
+from the top) carries color i - r + 1, an integer; only the weight reads it
+mod n.  Containment of diagrams is pointwise domination of depths.
+
+The rank n enters only the definitions: `diagram_weight`, and the shift of
+`is_crystal_element`.  The weight space of k*Lambda_0 - gamma_ell is the
+same set of chains at every n >= 2*ell (see `enumerate_weight_space`), so
+the search takes no rank.
 """
 
 from __future__ import annotations
@@ -111,19 +115,19 @@ def from_color_counts(counts: dict[int, int]) -> ExtendedYoungDiagram:
     most one diagram.  A diagram of T boxes lies in the T x T square, and
     `_fill` builds the one sub-diagram of it with exactly these counts (see
     `enumerate_weight_space`).  It builds colors in (-T, T) only, so every
-    color in play lies within T + max|c| of 0, and the modulus
-    2 * (T + max|c|) + 1 aliases no two of them.
+    color in play lies within T + max|c| of 0, and a room list of
+    2 * (T + max|c|) + 1 slots aliases no two of them.
     """
     for c, cnt in counts.items():
         if cnt < 0:
             raise ValueError(f"color {c} has negative count {cnt}")
     boxes = sum(counts.values())
-    m = 2 * (boxes + max((abs(c) for c, v in counts.items() if v), default=0)) + 1
-    room = [0] * m
+    slots = 2 * (boxes + max((abs(c) for c, v in counts.items() if v), default=0)) + 1
+    room = [0] * slots
     for c, cnt in counts.items():
         if cnt:
-            room[c % m] = cnt
-    depths = _fill((boxes,) * boxes, room, m)
+            room[c % slots] = cnt
+    depths = _fill((boxes,) * boxes, room)
     if depths is None:
         raise ValueError(f"no diagram has the color counts {dict(sorted(counts.items()))}")
     return ExtendedYoungDiagram.from_depths(depths)
@@ -165,17 +169,20 @@ def _least_states(k: int, ell: int) -> int:
     return (math.comb(2 * ell, ell) // (ell + 1) if k >= 2 else 1) + 1
 
 
-def _fill(prev, room, n):
+def _fill(prev, room):
     # the one sub-diagram of prev whose color counts are exactly `room`, as
-    # depths, or None; each column takes the colors i, i-1, ... while room
-    # allows, at most as deep as prev and as the column before
+    # depths, or None; room is indexed by color mod len(room), which must
+    # alias no two colors the sub-diagrams of prev can hold; each column
+    # takes the colors i, i-1, ... while room allows, at most as deep as
+    # prev and as the column before
+    slots = len(room)
     left = list(room)
     depths: list[int] = []
     for i, top in enumerate(prev):
         cap = min(depths[-1], top) if depths else top
         d = 0
-        while d < cap and left[(i - d) % n]:
-            left[(i - d) % n] -= 1
+        while d < cap and left[(i - d) % slots]:
+            left[(i - d) % slots] -= 1
             d += 1
         if not d:
             break
@@ -183,26 +190,32 @@ def _fill(prev, room, n):
     return None if any(left) else tuple(depths)
 
 
-def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -> frozenset:
+def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozenset:
     """All crystal elements of weight k*(node-0 fundamental) minus the
     staircase gamma_ell: containment chains of k diagrams whose color counts
     sum to the staircase budget, checked against the membership predicate.
 
-    The budget of color c is ell - |c| for |c| < ell and 0 for every other
-    color mod n.  So a diagram that fits it lies in the ell x ell corner, and
-    its boxes carry the colors -ell < c < ell, which are distinct mod
-    n >= 2*ell: the search may treat a color mod n as an integer color.
+    The set is the same at every rank n >= 2*ell, so none is taken.  The
+    budget of color c is ell - |c| for |c| < ell and 0 for every other color
+    mod n.  So a diagram that fits it lies in the ell x ell corner, and its
+    boxes carry the colors -ell < c < ell, which are distinct mod n; the
+    chain's color counts, and so its weight, do not depend on n.  Nor does
+    membership: the entries of the corner's diagrams lie in [-ell, 0], so
+    the first diagram shifted by n has every entry >= n - ell >= ell, above
+    every entry of every diagram.  The chain's last member lies in it, and
+    the wrap pair covers every column.  So the search reads the budget, and
+    checks each element, at n = 2*ell.
 
     Each diagram is generated as a sub-diagram of the one before it (the
     first as a sub-diagram of a rectangle as deep as the largest budget
     entry), column by column; a column stops as soon as one more box would
     push its color past the room the chain has left.  Color counts are
-    length-n lists indexed by color mod n.  A sub-diagram is taken when each
-    of the `left` diagrams still to come can hold at most its own count of
-    every color, that is room[c] <= left * counts[c] for every c.  Each step
-    keeps the number of colors that break this ("short" colors), and a box
-    added or removed updates it in constant time, so the take test is
-    `short == 0`.
+    lists of 2*ell slots indexed by color mod 2*ell.  A sub-diagram is taken
+    when each of the `left` diagrams still to come can hold at most its own
+    count of every color, that is room[c] <= left * counts[c] for every c.
+    Each step keeps the number of colors that break this ("short" colors),
+    and a box added or removed updates it in constant time, so the take test
+    is `short == 0`.
 
     Dead branches are cut.  With column i settled at depth d, at most its
     cap, the columns to its right are at most d deep, so they hold colors
@@ -237,16 +250,16 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     padded with empty diagrams, which by the paper's k = 2 theorem number
     Catalan(ell).
     """
-    check_params(n, k)
-    if not 1 <= ell <= n // 2:
-        raise ValueError(f"ell must lie in 1..{n // 2} for n={n}, got {ell}")
+    if ell < 1 or k < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
     least = _least_states(k, ell)
     if least > node_budget:
         raise NodeBudgetExceeded(
             f"at least {least} states at ell={ell}, k={k}, "
             f"beyond the budget of {node_budget} states"
         )
-    budget = gamma(n, ell, k).m
+    slots = 2 * ell
+    budget = gamma(slots, ell, k).m
     visited = [0]
 
     def tick():
@@ -266,7 +279,7 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
     results = []
     # the colors of rows 1..ell of columns 0..ell-1; column ell would start
     # with color ell, whose budget is 0, so no column from ell on holds a box
-    column_colors = [[(i - r) % n for r in range(ell)] for i in range(ell)]
+    column_colors = [[(i - r) % slots for r in range(ell)] for i in range(ell)]
 
     def extend(prev, room, left):
         # chain holds k - left diagrams leaving `room` per color; the next
@@ -276,11 +289,11 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
             # the last diagram filled its room exactly, so the counts sum to
             # the budget
             ys = tuple(map(diagram, chain))
-            assert is_crystal_element(ys, n), ys
+            assert is_crystal_element(ys, 2 * ell), ys
             results.append(ys)
             return
         if left == 1:
-            last = _fill(prev, room, n)
+            last = _fill(prev, room)
             if last is not None:
                 chain.append(last)
                 extend(last, None, 0)
@@ -290,9 +303,9 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
         # each holds at most v of a color: room - v <= (left-1)*v, that is
         # v >= need[c]; a color is short while its count is below need
         need = [-(-r // left) for r in room]
-        counts = [0] * n
+        counts = [0] * slots
         depths: list[int] = []
-        short = n - need.count(0)
+        short = slots - need.count(0)
         width = len(prev)
 
         def columns(i):
@@ -304,7 +317,7 @@ def enumerate_weight_space(n: int, k: int, ell: int, node_budget: int = 10**8) -
                 chain.append(tuple(depths))
                 extend(chain[-1], tuple(map(sub, room, counts)), left - 1)
                 chain.pop()
-            if i == width or counts[i % n] == room[i % n]:
+            if i == width or counts[i % slots] == room[i % slots]:
                 return  # column i can take no box
             cap = min(depths[-1], prev[i]) if depths else prev[0]
             below = column_colors[i][:cap]  # colors of rows 1..cap

@@ -25,7 +25,8 @@ from kacmax.young_crystal import (
 
 _Y = ExtendedYoungDiagram.from_entries((-1,))
 
-# each entry point called with n = 1, k = 0 or s = n, wherever it takes that argument
+# each entry point called with n = 1, k = 0 or s = n, wherever it takes that
+# argument, and the rank-free crystal search with ell = 0
 _OUT_OF_RANGE = {
     "check_params n": lambda: check_params(1),
     "check_params k": lambda: check_params(3, 0),
@@ -48,8 +49,8 @@ _OUT_OF_RANGE = {
     "enumerate_S_bruteforce s": lambda: enumerate_S_bruteforce(3, 3, 0, 0),
     "diagram_weight n": lambda: diagram_weight(_Y, 1),
     "is_crystal_element n": lambda: is_crystal_element((_Y,), 1),
-    "enumerate_weight_space n": lambda: enumerate_weight_space(1, 1, 1),
-    "enumerate_weight_space k": lambda: enumerate_weight_space(4, 0, 1),
+    "enumerate_weight_space ell": lambda: enumerate_weight_space(0, 1),
+    "enumerate_weight_space k": lambda: enumerate_weight_space(2, 0),
 }
 
 

@@ -133,7 +133,7 @@ def test_crystal_table_tallies_one_search_per_ell(capsys):
 
     argv = ("table", "--k-min", "1", "--ell-max", "5", "--k-max", "4")
     rows = [
-        [ell] + [len(enumerate_weight_space(2 * ell, k, ell)) for k in range(1, 5)]
+        [ell] + [len(enumerate_weight_space(ell, k)) for k in range(1, 5)]
         for ell in range(1, 6)
     ]
     code, out, _ = run(capsys, *argv, "--oracle", "crystal")
@@ -166,13 +166,13 @@ def test_bijection_single_letter(capsys):
 
 
 def test_bijection_paths_to_diagrams(capsys):
-    code, out, _ = run(capsys, "bijection", "--paths", "RURU;RURU", "--n", "4")
+    code, out, _ = run(capsys, "bijection", "--paths", "RURU;RURU")
     assert code == 0
     assert out.strip() == "[-2,-1];[-1];[]"
 
 
 def test_bijection_diagrams_to_paths(capsys):
-    code, out, _ = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]", "--n", "4")
+    code, out, _ = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]")
     assert code == 0
     assert out.strip() == "RURU;RURU"
 
@@ -255,20 +255,27 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
-    # the square's colors alias mod n < 2*ell; the CLI refuses, the library has no n
-    for argv in (
-        ("bijection", "--paths", "RURU;RURU", "--n", "3"),
-        ("bijection", "--ytuple", "[-2,-1];[-1];[]", "--n", "3"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, ""), argv
-        assert err.startswith("error:") and "needs n >= 4, got 3" in err, argv
     # a crystal element whose diagram leaves the 2x2 square
-    code, out, err = run(capsys, "bijection", "--ytuple", "[-3];[-1]", "--n", "4")
+    code, out, err = run(capsys, "bijection", "--ytuple", "[-3];[-1]")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "region (3,) does not fit the 2x2 square" in err
-    # a flag the mode never reads is refused, not ignored
+    # diagrams whose boxes fill no square, empty ones included: the message
+    # names the box count and offers no flag, as none could help
+    for ytuple, boxes in (("[-1,-1];[]", 2), ("[-2,-1];[-1,-1]", 5), ("[]", 0), ("[];[]", 0)):
+        code, out, err = run(capsys, "bijection", "--ytuple", ytuple)
+        assert (code, out) == (1, ""), ytuple
+        assert err == f"error: the diagrams hold {boxes} boxes, not ell^2 for any ell >= 1\n"
+        assert "--" not in err, ytuple
+
+
+def test_rank_flags_are_gone(capsys):
+    # no multiplicity command reads a rank, so none takes --n, and --ytuple
+    # reads ell off its box count; argparse refuses the old flags, and since
+    # flags are matched whole, `multiplicity --n` is not `--node-budget`
     for argv, flag in (
+        (("multiplicity", "--ell", "3", "--k", "2", "--n", "6"), "--n"),
+        (("bijection", "--paths", "RURU;RURU", "--n", "4"), "--n"),
+        (("bijection", "--ytuple", "[-2,-1];[-1];[]", "--ell", "2"), "--ell"),
         (("bijection", "--perm", "1342", "--n", "5"), "--n"),
         (("bijection", "--path", "RRUURURU", "--n", "5"), "--n"),
         (("bijection", "--perm", "1342", "--ell", "2"), "--ell"),
@@ -277,16 +284,24 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
-        assert err.startswith("error:") and flag in err, argv
-    for ell in ("0", "-1"):
-        code, out, err = run(capsys, "bijection", "--ytuple", "[-2,-1];[-1];[]", "--ell", ell)
-        assert (code, out) == (1, ""), ell
-        assert "--ell must be >= 1" in err, ell
-    # empty diagrams would infer ell = 0; say so rather than name an n never passed
-    for ytuple in ("[]", "[];[]"):
-        code, out, err = run(capsys, "bijection", "--ytuple", ytuple)
-        assert (code, out) == (1, ""), ytuple
-        assert err.startswith("error:") and "no boxes" in err, (ytuple, err)
+        assert err.startswith("error: unrecognized arguments:") and flag in err, argv
+    # no other flag is taken by a prefix either
+    for argv in (
+        ("multiplicity", "--ell", "3", "--k", "2", "--check"),
+        ("verify", "--conjecture", "count", "--n", "4"),
+        ("table", "--ell-max", "2", "--k-max", "2", "--form", "json"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: unrecognized arguments:"), argv
+    # the JSON record still names the rank the multiplicity is read at
+    for ell in (1, 3, 6):
+        code, out, _ = run(
+            capsys, "multiplicity", "--ell", str(ell), "--k", "2", "--check-all",
+            "--format", "json",
+        )
+        assert code == 0, ell
+        assert f'"n":{2 * ell},' in out, ell
 
 
 def test_budget_guard_exit_code(capsys):

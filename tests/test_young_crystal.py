@@ -154,14 +154,14 @@ def test_is_crystal_element_examples():
 
 
 def test_weight_space_smallest_case():
-    els = enumerate_weight_space(2, 1, 1)
+    els = enumerate_weight_space(1, 1)
     assert len(els) == 1
     ((only,),) = els
     assert only.entries == (-1,)
 
 
 def test_weight_space_frozen_level2():
-    els = enumerate_weight_space(4, 2, 2)
+    els = enumerate_weight_space(2, 2)
     shapes = sorted(tuple(d.entries for d in el) for el in els)
     assert shapes == [
         ((-2, -2), ()),
@@ -170,27 +170,28 @@ def test_weight_space_frozen_level2():
 
 
 def test_weight_space_sizes_match_path_count():
-    # the search's cut treats colors mod n as integers, which holds for every
-    # n >= 2*ell; n = 2*ell + 3 puts unused colors on both sides of the window
     for ell in range(1, 7):
         for k in range(1, 5):
-            for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
-                els = enumerate_weight_space(n, k, ell)
-                assert len(els) == count_T(ell, k), (n, k, ell)
+            assert len(enumerate_weight_space(ell, k)) == count_T(ell, k), (ell, k)
 
 
 def test_weight_space_size_at_ell_8():
-    assert len(enumerate_weight_space(16, 3, 8)) == count_T(8, 3) == 15767
+    assert len(enumerate_weight_space(8, 3)) == count_T(8, 3) == 15767
 
 
 def test_weight_space_accepts_wide_rank():
-    # rank above twice the shape size changes nothing but the coloring
-    assert len(enumerate_weight_space(7, 2, 3)) == count_T(3, 2)
+    # the search takes no rank: every element it finds is a crystal element
+    # at every rank n >= 2*ell, not only at the n = 2*ell it checks
+    for ell in range(1, 6):
+        for k in range(1, 5):
+            els = enumerate_weight_space(ell, k)
+            for n in range(2 * ell, 2 * ell + 4):
+                assert all(is_crystal_element(ys, n) for ys in els), (ell, k, n)
 
 
 def test_node_budget_guard():
     with pytest.raises(NodeBudgetExceeded):
-        enumerate_weight_space(16, 3, 8, node_budget=1000)
+        enumerate_weight_space(8, 3, node_budget=1000)
 
 
 def test_node_budget_guard_fires_during_search():
@@ -198,37 +199,36 @@ def test_node_budget_guard_fires_during_search():
     # ten diagrams needs more than four states
     assert young_crystal._least_states(10, 1) == 2
     with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
-        enumerate_weight_space(2, 10, 1, node_budget=4)
+        enumerate_weight_space(1, 10, node_budget=4)
 
 
 @pytest.mark.parametrize(
-    "n, k, ell, states, size",
-    [(12, 4, 6, 12761, 694), (14, 3, 7, 41917, 2761)],
+    "ell, k, states, size",
+    [(6, 4, 12761, 694), (7, 3, 41917, 2761)],
 )
-def test_search_visits_pinned_states(n, k, ell, states, size):
+def test_search_visits_pinned_states(ell, k, states, size):
     # the exact state count: the search completes within it and not below
-    assert len(enumerate_weight_space(n, k, ell, node_budget=states)) == size
+    assert len(enumerate_weight_space(ell, k, node_budget=states)) == size
     with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {states - 1} states"):
-        enumerate_weight_space(n, k, ell, node_budget=states - 1)
+        enumerate_weight_space(ell, k, node_budget=states - 1)
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
 def test_up_front_refusal_is_a_lower_bound(ell, monkeypatch):
     # the bound is the root step plus one state per element: Catalan(l) + 1
     # at k >= 2, and 2 at k = 1, where the one element is built directly
-    n = 2 * ell
     catalan = math.comb(2 * ell, ell) // (ell + 1)
     bounds = {1: 2, 2: catalan + 1, 3: catalan + 1}
     for k, least in bounds.items():
         with pytest.raises(NodeBudgetExceeded, match=f"at least {least} states"):
-            enumerate_weight_space(n, k, ell, node_budget=least - 1)
+            enumerate_weight_space(ell, k, node_budget=least - 1)
     # without the refusal, the search still visits at least the bound, and
     # at k = 1 exactly the bound
     monkeypatch.setattr(young_crystal, "_least_states", lambda k, ell: 0)
     for k, least in bounds.items():
         with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {least - 1} states"):
-            enumerate_weight_space(n, k, ell, node_budget=least - 1)
-    assert len(enumerate_weight_space(n, 1, ell, node_budget=2)) == 1
+            enumerate_weight_space(ell, k, node_budget=least - 1)
+    assert len(enumerate_weight_space(ell, 1, node_budget=2)) == 1
 
 
 def _is_crystal_element_by_definition(diagrams, n):
@@ -311,8 +311,10 @@ def _weight_space_by_brute_force(n, k, ell):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_weight_space_matches_brute_force(ell, k):
+    # the brute force reads the budget and membership at each rank itself
+    els = enumerate_weight_space(ell, k)
     for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
-        assert enumerate_weight_space(n, k, ell) == _weight_space_by_brute_force(n, k, ell)
+        assert els == _weight_space_by_brute_force(n, k, ell), n
 
 
 if __name__ == "__main__":
