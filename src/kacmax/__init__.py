@@ -27,10 +27,7 @@ _EXPORTS = {
     "maximal_weights": (
         "MaxWeightReport",
         "count_formula",
-        "level2_explicit_weights",
         "maximal_dominant_weights",
-        "u_closed_form",
-        "u_recursive",
         "verify_count_conjecture",
     ),
     "patterns": (
@@ -40,7 +37,7 @@ _EXPORTS = {
         "count_avoiding_grid",
         "longest_decreasing",
     ),
-    "tuple_sets": ("enumerate_M", "enumerate_S_bruteforce", "max_ell"),
+    "tuple_sets": ("enumerate_M", "max_ell"),
     "young_crystal": (
         "ExtendedYoungDiagram",
         "NodeBudgetExceeded",

@@ -9,14 +9,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-__all__ = [
-    "AlphaExpansion",
-    "check_params",
-    "weight_from_x",
-    "gamma",
-    "is_dominant",
-]
-
 
 def check_params(n: int, k: int | None = None, s: int | None = None) -> None:
     """Raise ValueError unless n >= 2, k >= 1 and 0 <= s < n; k and s are

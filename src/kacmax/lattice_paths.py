@@ -21,18 +21,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from operator import mul
 
-__all__ = [
-    "LatticePath",
-    "PathSequence",
-    "parse_paths",
-    "is_admissible",
-    "enumerate_T",
-    "count_T",
-    "count_T_grid",
-    "paths_to_ytuple",
-    "ytuple_to_paths",
-]
-
 
 class LatticePath(namedtuple("LatticePath", "moves")):
     __slots__ = ()
@@ -96,9 +84,11 @@ class PathSequence(namedtuple("PathSequence", "ell k paths")):
 
 
 def parse_paths(text: str) -> PathSequence:
-    parts = [p for p in text.strip().split(";") if p]
-    if not parts:
+    parts = text.strip().split(";")
+    if parts == [""]:
         raise ValueError("need at least one path")
+    if "" in parts:
+        raise ValueError(f"path {parts.index('') + 1} of {text!r} is empty")
     paths = tuple(LatticePath(p) for p in parts)
     return PathSequence(paths[0].ell, len(paths) + 1, paths)
 

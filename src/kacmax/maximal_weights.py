@@ -2,9 +2,7 @@
 
 The weight list comes from sweeping the five plateau families over all
 admissible boundary pairs and converting each tuple to its alpha-expansion.
-For s = 0 the count is conjectured to equal a cyclic-binomial formula; the
-level-3 specialization u_n also has a quadratic closed form and a three-term
-recursion, both provided here so the routes can be cross-checked.
+For s = 0 the count is conjectured to equal a cyclic-binomial formula.
 """
 
 from __future__ import annotations
@@ -12,18 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .affine_core import AlphaExpansion, check_params, weight_from_x
+from .affine_core import check_params, weight_from_x
 from .tuple_sets import enumerate_M
-
-__all__ = [
-    "MaxWeightReport",
-    "maximal_dominant_weights",
-    "count_formula",
-    "u_closed_form",
-    "u_recursive",
-    "level2_explicit_weights",
-    "verify_count_conjecture",
-]
 
 
 class MaxWeightReport(
@@ -91,44 +79,6 @@ def count_formula(n: int, k: int) -> int:
     q, r = divmod(total, n + k)
     assert r == 0, f"cyclic average is not an integer at n={n}, k={k}"
     return q
-
-
-def u_closed_form(n: int) -> int:
-    """Level-3, s = 0 count as a quadratic in n (with a shift when 3 | n)."""
-    check_params(n)
-    num = (n + 1) * (n + 2) + (4 if n % 3 == 0 else 0)
-    q, r = divmod(num, 6)
-    assert r == 0, n
-    return q
-
-
-def u_recursive(n: int) -> int:
-    """Level-3, s = 0 count via the three-term recursion
-    u_m = 2*u_{m-1} - u_{m-2} + e_m with e_m = -1 iff m = 1 (mod 3)."""
-    check_params(n)
-    u_prev, u_cur = 2, 4  # u_2, u_3
-    if n == 2:
-        return u_prev
-    for m in range(4, n + 1):
-        bump = -1 if m % 3 == 1 else 1
-        u_prev, u_cur = u_cur, 2 * u_cur - u_prev + bump
-    return u_cur
-
-
-def level2_explicit_weights(n: int, s: int) -> tuple[AlphaExpansion, ...]:
-    """The level-2 maximal dominant weights in closed form: the highest
-    weight plus one staircase family when s = 0, or two when s > 0."""
-    check_params(n, s=s)
-    xs = {(0,) * (n - 1)}
-    if s == 0:
-        for ell in range(1, n // 2 + 1):
-            xs.add(tuple(min(i, ell, n - i) for i in range(1, n)))
-    else:
-        for ell in range(1, s // 2 + 1):
-            xs.add(tuple(min(i, ell, max(s - i, 0)) for i in range(1, n)))
-        for ell in range(1, (n - s) // 2 + 1):
-            xs.add(tuple(0 if i <= s else min(i - s, ell, n - i) for i in range(1, n)))
-    return tuple(sorted(weight_from_x(n, 2, s, x) for x in xs))
 
 
 def verify_count_conjecture(n_max: int, k_max: int):

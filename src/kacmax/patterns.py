@@ -11,26 +11,18 @@ weakly below the diagonal, implemented here in both directions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, permutations, starmap
+from itertools import combinations, starmap
 from math import factorial, prod
 from operator import sub
-
-__all__ = [
-    "parse_perm",
-    "format_perm",
-    "longest_decreasing",
-    "count_avoiding",
-    "count_avoiding_grid",
-    "count_avoiding_bruteforce",
-    "bjs_perm_to_path",
-    "bjs_path_to_perm",
-]
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
     t = text.strip()
     if "," in t:
-        vals = tuple(int(p) for p in t.split(","))
+        try:
+            vals = tuple(int(p) for p in t.split(","))
+        except ValueError:
+            raise ValueError(f"permutation entries must be integers, got {text!r}") from None
     elif t.isdigit():
         vals = tuple(int(ch) for ch in t)
     else:
@@ -129,15 +121,6 @@ def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
             total += by_rows[k]
             grid[ell, k] = total
     return grid
-
-
-def count_avoiding_bruteforce(ell: int, k: int) -> int:
-    """Same count by scanning every permutation; guarded to ell <= 10."""
-    if ell < 1 or k < 1:
-        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    if ell > 10:
-        raise ValueError(f"exhaustive scan is restricted to ell <= 10, got {ell}")
-    return sum(1 for w in permutations(range(1, ell + 1)) if longest_decreasing(w) <= k)
 
 
 def bjs_perm_to_path(w) -> LatticePath:

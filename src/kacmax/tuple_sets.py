@@ -3,8 +3,7 @@
 The underlying inequality system: a nonnegative integer tuple (x_1,...,x_{n-1})
 with prescribed first and last entries whose image under the classical Cartan
 matrix is entrywise >= 0, except that -1 is allowed at one marked position s
-(no relaxation when s = 0).  `enumerate_S_bruteforce` realizes that definition
-by direct backtracking.  The five `enumerate_M` families produce the same set
+(no relaxation when s = 0).  The five `enumerate_M` families produce that set
 piecewise, split by where the maximal plateau of the tuple sits relative to s;
 their building blocks are segments with concave differences.
 """
@@ -12,13 +11,6 @@ their building blocks are segments with concave differences.
 from __future__ import annotations
 
 from .affine_core import check_params
-
-__all__ = [
-    "format_x",
-    "max_ell",
-    "enumerate_M",
-    "enumerate_S_bruteforce",
-]
 
 
 def format_x(x: tuple[int, ...]) -> str:
@@ -179,12 +171,6 @@ def _m5(s, n, x1, xn1):
     return out
 
 
-def _validate_params(s, n, x1, xn1):
-    check_params(n, s=s)
-    if x1 < 0 or xn1 < 0:
-        raise ValueError(f"boundary entries must be nonnegative, got {x1}, {xn1}")
-
-
 def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:
     """One of the five plateau-position families, as a frozenset of tuples.
 
@@ -193,7 +179,9 @@ def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:
     when s = 0.  For n = 2 the single coordinate is both boundary entries, so
     mismatched boundary parameters give the empty set.
     """
-    _validate_params(s, n, x1, xn1)
+    check_params(n, s=s)
+    if x1 < 0 or xn1 < 0:
+        raise ValueError(f"boundary entries must be nonnegative, got {x1}, {xn1}")
     if n == 2 and x1 != xn1:
         return frozenset()
     if family == 1:
@@ -211,45 +199,3 @@ def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:
     if family == 5:
         return frozenset(_m5(s, n, x1, xn1))
     raise ValueError(f"family must be 1..5, got {family}")
-
-
-def enumerate_S_bruteforce(n: int, s: int, x1: int, xn1: int) -> frozenset:
-    """Definitional backtracking over the inequality system.
-
-    Returns every nonnegative tuple with the given boundary entries whose
-    classical-Cartan image is >= 0 away from s and >= -1 at s (s >= 1).  The
-    cap B = (n+1)*(x1+xn1+1) can never bind for genuine members (differences
-    are concave); it is a safety net, enforced with an assert.
-    """
-    _validate_params(s, n, x1, xn1)
-    if n == 2:
-        # single coordinate; (Ax)_1 = 2*x1 >= -1 always holds
-        return frozenset({(x1,)}) if x1 == xn1 else frozenset()
-    cap = (n + 1) * (x1 + xn1 + 1)
-
-    def slack(pos):  # position labels are 1-based
-        return 1 if pos == s else 0
-
-    found = []
-
-    def extend(xs):
-        i = len(xs)  # xs holds x_1..x_i
-        if i == n - 2:
-            full = xs + (xn1,)
-            # last two constraints close over the fixed final entry
-            lhs = 2 * full[-2] - (full[-3] if n > 3 else 0) - full[-1]
-            if lhs < -slack(n - 2):
-                return
-            if 2 * full[-1] - full[-2] < -slack(n - 1):
-                return
-            found.append(full)
-            return
-        # constraint at position i pins down the next entry's range:
-        # 2*x_i - x_{i-1} - x_{i+1} >= -slack(i)
-        hi = 2 * xs[-1] - (xs[-2] if i >= 2 else 0) + slack(i)
-        assert hi <= cap, (n, s, x1, xn1, xs)
-        for v in range(0, hi + 1):
-            extend(xs + (v,))
-
-    extend((x1,))
-    return frozenset(found)

@@ -20,17 +20,6 @@ from operator import gt, or_, sub
 
 from .affine_core import AlphaExpansion, check_params, gamma
 
-__all__ = [
-    "ExtendedYoungDiagram",
-    "NodeBudgetExceeded",
-    "color_counts",
-    "diagram_weight",
-    "from_color_counts",
-    "is_crystal_element",
-    "enumerate_weight_space",
-    "parse_diagram",
-]
-
 
 class NodeBudgetExceeded(RuntimeError):
     """Raised when an exhaustive diagram search would visit too many states."""

@@ -19,13 +19,7 @@ from kacmax.lattice_paths import (
     paths_to_ytuple,
     ytuple_to_paths,
 )
-from kacmax.maximal_weights import (
-    level2_explicit_weights,
-    maximal_dominant_weights,
-    u_closed_form,
-    u_recursive,
-    verify_count_conjecture,
-)
+from kacmax.maximal_weights import maximal_dominant_weights, verify_count_conjecture
 from kacmax.patterns import (
     bjs_path_to_perm,
     bjs_perm_to_path,
@@ -33,8 +27,15 @@ from kacmax.patterns import (
     count_avoiding_grid,
     longest_decreasing,
 )
-from kacmax.tuple_sets import enumerate_M, enumerate_S_bruteforce
+from kacmax.tuple_sets import enumerate_M
 from kacmax.young_crystal import enumerate_weight_space
+from oracles import (
+    enumerate_S_bruteforce,
+    gessel_4321_avoiders,
+    level2_explicit_weights,
+    u_closed_form,
+    u_recursive,
+)
 
 # level-3 boundary tuples for small rank, by (x_1, x_{n-1}) column
 LEVEL3_TUPLES = {
@@ -148,25 +149,14 @@ def test_criterion_3_catalan_column():
     print("criterion 3 (Catalan at k = 2 for ell <= 40, ell! at k >= ell for ell <= 12): pass")
 
 
-def _gessel_4321_avoiders(ell):
-    # Gessel (JCTA 53, 1990), OEIS A005802
-    num = sum(
-        math.comb(2 * j, j) * math.comb(ell + 1, j + 1) * math.comb(ell + 2, j + 1)
-        for j in range(ell + 1)
-    )
-    q, r = divmod(num, (ell + 1) ** 2 * (ell + 2))
-    assert r == 0, ell
-    return q
-
-
 def test_criterion_3_gessel_column():
     # the k = 3 column against a closed form that depends on neither the
     # path walk nor the hook formula
     t0 = time.time()
-    assert [_gessel_4321_avoiders(ell) for ell in range(8)] == [1, 1, 2, 6, 23, 103, 513, 2761]
+    assert [gessel_4321_avoiders(ell) for ell in range(8)] == [1, 1, 2, 6, 23, 103, 513, 2761]
     paths, patterns = count_T_grid(120, 3), count_avoiding_grid(120, 3)
     for ell in range(1, 121):
-        assert paths[ell, 3] == patterns[ell, 3] == _gessel_4321_avoiders(ell), ell
+        assert paths[ell, 3] == patterns[ell, 3] == gessel_4321_avoiders(ell), ell
     assert time.time() - t0 < 4.0
     print("criterion 3 (Gessel's 4321-avoider count at k = 3 for ell <= 120): pass")
 

@@ -8,19 +8,21 @@ from kacmax.affine_core import (
     is_dominant,
     weight_from_x,
 )
-from kacmax.maximal_weights import (
-    count_formula,
-    level2_explicit_weights,
-    maximal_dominant_weights,
-    u_closed_form,
-    u_recursive,
-)
-from kacmax.tuple_sets import enumerate_M, enumerate_S_bruteforce
+from kacmax.maximal_weights import count_formula, maximal_dominant_weights
+from kacmax.tuple_sets import enumerate_M
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
     diagram_weight,
     enumerate_weight_space,
     is_crystal_element,
+)
+from oracles import (
+    cartan_entry,
+    enumerate_S_bruteforce,
+    is_dominant_by_matrix,
+    level2_explicit_weights,
+    u_closed_form,
+    u_recursive,
 )
 
 _Y = ExtendedYoungDiagram.from_entries((-1,))
@@ -60,34 +62,9 @@ def test_entry_points_reject_out_of_range_params(case):
         _OUT_OF_RANGE[case]()
 
 
-def _cartan_entry(n, i, j):
-    """Affine Cartan matrix entry a_ij of the cyclic type, indices mod n."""
-    i %= n
-    j %= n
-    if i == j:
-        return 2
-    if n == 2:
-        # rank-one affine case: the two simple roots pair to -2
-        return -2
-    if (i - j) % n in (1, n - 1):
-        return -1
-    return 0
-
-
-def _is_dominant_by_matrix(w):
-    """Dominance straight from the definition: (k-1)*Lambda_0 + Lambda_s
-    minus A*m is entrywise nonnegative, with A the full affine Cartan matrix."""
-    for i in range(w.n):
-        val = (w.k - 1 if i == 0 else 0) + (1 if i == w.s else 0)
-        val -= sum(_cartan_entry(w.n, i, j) * w.m[j] for j in range(w.n))
-        if val < 0:
-            return False
-    return True
-
-
 def test_cartan_entries_generic():
-    # pins the reference matrix that `_is_dominant_by_matrix` reads
-    assert [[_cartan_entry(4, i, j) for j in range(4)] for i in range(4)] == [
+    # pins the reference matrix that `is_dominant_by_matrix` reads
+    assert [[cartan_entry(4, i, j) for j in range(4)] for i in range(4)] == [
         [2, -1, 0, -1],
         [-1, 2, -1, 0],
         [0, -1, 2, -1],
@@ -97,7 +74,7 @@ def test_cartan_entries_generic():
 
 def test_cartan_entries_rank_one_affine():
     # n = 2 is special: the two nodes are doubly linked
-    assert [[_cartan_entry(2, i, j) for j in range(2)] for i in range(2)] == [[2, -2], [-2, 2]]
+    assert [[cartan_entry(2, i, j) for j in range(2)] for i in range(2)] == [[2, -2], [-2, 2]]
 
 
 def test_weight_from_x_staircase():
@@ -161,7 +138,7 @@ def expansions(draw):
 
 @given(expansions())
 def test_is_dominant_matches_matrix(w):
-    assert is_dominant(w) == _is_dominant_by_matrix(w)
+    assert is_dominant(w) == is_dominant_by_matrix(w)
 
 
 @st.composite

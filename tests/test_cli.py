@@ -255,6 +255,18 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
+    # an empty path segment would change k; an empty permutation entry is no integer
+    for argv, message in (
+        (("bijection", "--paths", "RURU;;RURU"), "path 2 of 'RURU;;RURU' is empty"),
+        (("bijection", "--paths", ";RURU;RURU"), "path 1 of ';RURU;RURU' is empty"),
+        (("bijection", "--paths", "RURU;RURU;"), "path 3 of 'RURU;RURU;' is empty"),
+        (("bijection", "--paths", ";"), "path 1 of ';' is empty"),
+        (("bijection", "--paths", ""), "need at least one path"),
+        (("bijection", "--perm", "1,,2"), "permutation entries must be integers, got '1,,2'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {message}\n", argv
     # a crystal element whose diagram leaves the 2x2 square
     code, out, err = run(capsys, "bijection", "--ytuple", "[-3];[-1]")
     assert (code, out) == (1, "")

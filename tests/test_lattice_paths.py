@@ -18,6 +18,7 @@ from kacmax.lattice_paths import (
     _path_below,
 )
 from kacmax.young_crystal import NodeBudgetExceeded, color_counts, is_crystal_element
+from oracles import count_T_grid_by_tuples
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -95,35 +96,6 @@ def test_enumeration_matches_count():
             assert len(enumerate_T(ell, k)) == count_T(ell, k) == grid[ell, k], (ell, k)
 
 
-def _count_T_grid_by_tuples(ell_max, k_max):
-    # reference: the walk of count_T_grid with each state kept as a tuple and
-    # each tie block found by comparing neighbours, not packed into one int
-    grid = {}
-    by_parts = [{} for _ in range(k_max + 1)]
-    by_parts[1][(1,) + (0,) * (k_max - 1)] = 1
-    for ell in range(1, ell_max + 1):
-        if ell > 1:
-            new = [{} for _ in range(k_max + 1)]
-            for r in range(1, k_max + 1):
-                for state, mult in by_parts[r].items():
-                    s = list(state)
-                    for idx in range(r):
-                        if idx == 0 or s[idx - 1] != s[idx]:
-                            s[idx] += 1
-                            t = tuple(s)
-                            s[idx] -= 1
-                            new[r][t] = new[r].get(t, 0) + mult
-                    if r < k_max:
-                        s[r] = 1
-                        new[r + 1][tuple(s)] = mult
-            by_parts = new
-        total = 0
-        for k in range(1, k_max + 1):
-            total += sum(m * m for m in by_parts[k].values())
-            grid[ell, k] = total
-    return grid
-
-
 def _restricted(grid, ell_max, k_max):
     return {(ell, k): v for (ell, k), v in grid.items() if ell <= ell_max and k <= k_max}
 
@@ -131,14 +103,14 @@ def _restricted(grid, ell_max, k_max):
 def test_packed_walk_matches_tuple_walk():
     # every grid shape up to (30, 8); the reference's cells do not depend on
     # the grid they come from, so one reference grid serves them all
-    want = _count_T_grid_by_tuples(30, 8)
+    want = count_T_grid_by_tuples(30, 8)
     for ell_max in range(1, 31):
         for k_max in range(1, 9):
             assert count_T_grid(ell_max, k_max) == _restricted(want, ell_max, k_max), (ell_max, k_max)
 
 
 def test_packed_walk_with_more_rows_than_boxes():
-    want = _count_T_grid_by_tuples(6, 12)
+    want = count_T_grid_by_tuples(6, 12)
     for ell_max in range(1, 7):
         for k_max in range(ell_max + 1, 13):
             assert count_T_grid(ell_max, k_max) == _restricted(want, ell_max, k_max), (ell_max, k_max)
@@ -146,7 +118,7 @@ def test_packed_walk_with_more_rows_than_boxes():
 
 def test_packed_walk_at_field_width_edges():
     # the field width grows by one bit where ell_max + 1 reaches a power of two
-    want = _count_T_grid_by_tuples(128, 3)
+    want = count_T_grid_by_tuples(128, 3)
     edges = {ell for j in range(1, 8) for ell in (2**j - 2, 2**j - 1, 2**j)} - {0}
     for ell_max in sorted(edges):
         for k_max in range(1, 4):

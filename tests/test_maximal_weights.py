@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import pytest
@@ -7,11 +6,15 @@ from hypothesis import given, settings, strategies as st
 from kacmax.affine_core import is_dominant
 from kacmax.maximal_weights import (
     count_formula,
-    level2_explicit_weights,
     maximal_dominant_weights,
+    verify_count_conjecture,
+)
+from oracles import (
+    kac_maximal_weights,
+    level2_explicit_weights,
+    qbinomial_columns_mod,
     u_closed_form,
     u_recursive,
-    verify_count_conjecture,
 )
 
 # number of maximal dominant weights at level 3, by rank
@@ -44,61 +47,14 @@ def test_count_formula_values():
     assert count_formula(2, 2) == 2
 
 
-def _qbinomial_columns_mod(n, k_max):
-    # [n-1+k choose k]_q for k = 0..k_max as coefficient lists modulo
-    # q^n - 1, by the q-Pascal rule G(a, b) = G(a-1, b) + q^a G(a, b-1) with
-    # G(a, b) = [a+b choose a]_q; multiplying by q^a rotates the list by a
-    row = [[1] + [0] * (n - 1) for _ in range(k_max + 1)]  # b = 0
-    for _ in range(n - 1):
-        new = [row[0]]
-        for a in range(1, k_max + 1):
-            shift = a % n
-            rotated = row[a][-shift:] + row[a][:-shift] if shift else row[a]
-            new.append([x + y for x, y in zip(new[a - 1], rotated)])
-        row = new
-    return row
-
-
 def test_count_formula_matches_cyclic_sieving():
     # by cyclic sieving (Reiner, Stanton and White, JCTA 108, 2004) the
     # cyclic average equals the sum of the coefficients of q^j, n | j, in
     # [n-1+k choose k]_q; that sum is read here with no divisor sum
     for n in range(2, 60):
-        columns = _qbinomial_columns_mod(n, 59)
+        columns = qbinomial_columns_mod(n, 59)
         for k in range(1, 60):
             assert count_formula(n, k) == columns[k][0], (n, k)
-
-
-def _kac_maximal_weights(n, k, s):
-    """The m-vectors of the maximal dominant weights of V((k-1)L0 + Ls) by
-    Kac's theorem (Infinite-dimensional Lie algebras, 12.6): one for each
-    dominant level-k weight sum_i a_i*L_i in the highest weight's class
-    modulo the root lattice, that is sum(a) = k and sum(i*a_i) = s mod n,
-    namely the largest weight sum_i a_i*L_i - j*delta below the highest
-    weight.  Pairing with the coroots gives the cyclic second differences
-    m_{i+1} - 2*m_i + m_{i-1} = a_i - c_i, c the highest weight's labels;
-    they fix m up to adding delta = (1, ..., 1), and the maximal weight is
-    the one with min m = 0."""
-    c = [0] * n
-    c[0] += k - 1
-    c[s] += 1
-    out = []
-    for nodes in itertools.combinations_with_replacement(range(n), k):
-        if sum(nodes) % n != s:
-            continue
-        a = [nodes.count(i) for i in range(n)]
-        # m_0 = 0 and m_1 = t give m_j = j*t + f_j; closing the cycle at
-        # m_n = m_0 fixes t
-        f = [0, 0]
-        for j in range(1, n):
-            f.append(2 * f[j] - f[j - 1] + a[j] - c[j])
-        t, r = divmod(-f[n], n)
-        assert r == 0, (n, k, s, a)
-        m = [j * t + f[j] for j in range(n)]
-        assert m[1] - 2 * m[0] + m[n - 1] == a[0] - c[0], (n, k, s, a)
-        low = min(m)
-        out.append(tuple(v - low for v in m))
-    return sorted(out)
 
 
 def test_weights_match_kac_theorem_at_every_s():
@@ -108,11 +64,11 @@ def test_weights_match_kac_theorem_at_every_s():
     # k-multisets of Z/n with sum s
     t0 = time.time()
     for n in range(2, 13):
-        columns = _qbinomial_columns_mod(n, 5)
+        columns = qbinomial_columns_mod(n, 5)
         for k in range(1, 6):
             for s in range(n):
                 report = maximal_dominant_weights(n, k, s)
-                assert [w.m for w in report.weights] == _kac_maximal_weights(n, k, s), (n, k, s)
+                assert [w.m for w in report.weights] == kac_maximal_weights(n, k, s), (n, k, s)
                 assert report.count == columns[k][s], (n, k, s)
     assert time.time() - t0 < 30.0
 

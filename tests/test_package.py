@@ -27,6 +27,17 @@ def test_every_export_resolves_to_its_defining_object():
     assert set(kacmax.__all__) <= set(namespace)
 
 
+def test_second_implementations_are_not_in_the_package():
+    # no command runs them; they live in tests/oracles.py as references
+    for name in ("u_closed_form", "u_recursive", "level2_explicit_weights", "enumerate_S_bruteforce"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(kacmax, name)
+    assert not hasattr(importlib.import_module("kacmax.patterns"), "count_avoiding_bruteforce")
+    # _EXPORTS is the one list of public names
+    for module in kacmax._EXPORTS:
+        assert not hasattr(importlib.import_module(f"kacmax.{module}"), "__all__"), module
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         kacmax.no_such_name

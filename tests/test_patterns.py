@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +11,12 @@ from kacmax.patterns import (
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
-    count_avoiding_bruteforce,
     count_avoiding_grid,
     format_perm,
     longest_decreasing,
     parse_perm,
 )
+from oracles import count_avoiding_bruteforce, count_by_patience_sorting, shapes_recursive
 
 
 def test_parse_and_format():
@@ -28,6 +29,9 @@ def test_parse_and_format():
         parse_perm("1322")
     with pytest.raises(ValueError):
         parse_perm("134")  # not a permutation of 1..3
+    for text in ("1,,2", "1,2,", "1,x,2"):
+        with pytest.raises(ValueError, match=f"^permutation entries must be integers, got '{text}'$"):
+            parse_perm(text)
 
 
 def test_longest_decreasing():
@@ -81,25 +85,11 @@ def test_bjs_is_a_bijection_on_small_sizes():
         assert len(images) == catalan
 
 
-def _shapes_recursive(total, max_rows, cap=None):
-    # reference: the partitions of `total` into at most `max_rows` parts,
-    # first part largest first, each later part at most the one before
-    if total == 0:
-        yield ()
-        return
-    if max_rows == 0:
-        return
-    top = total if cap is None else min(cap, total)
-    for first in range(top, -(-total // max_rows) - 1, -1):
-        for rest in _shapes_recursive(total - first, max_rows - 1, first):
-            yield (first,) + rest
-
-
 def test_shapes_match_recursive_reference():
     for total in range(21):
         for max_rows in range(11):
             got = list(_shapes(total, max_rows))
-            assert got == list(_shapes_recursive(total, max_rows)), (total, max_rows)
+            assert got == list(shapes_recursive(total, max_rows)), (total, max_rows)
 
 
 def test_count_avoiding_values():
@@ -128,6 +118,22 @@ def test_hook_count_matches_bruteforce():
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
         count_avoiding_bruteforce(11, 3)
+
+
+def test_count_avoiding_counts_permutations():
+    # claim: count_avoiding(ell, k) counts the permutations of 1..ell that
+    # avoid the decreasing pattern of length k+1, and count_T gives the same
+    # number; the patience DP counts those permutations with no tableaux and
+    # no hook formula, and is itself checked against the full scan
+    t0 = time.time()
+    for ell in range(1, 8):
+        for k in range(1, 6):
+            assert count_by_patience_sorting(ell, k) == count_avoiding_bruteforce(ell, k), (ell, k)
+    cells = [(ell, k) for ell in range(1, 13) for k in range(1, 7)]
+    for ell, k in cells + [(20, 3), (18, 4), (16, 5)]:
+        want = count_by_patience_sorting(ell, k)
+        assert count_avoiding(ell, k) == count_T(ell, k) == want, (ell, k)
+    assert time.time() - t0 < 5.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax.affine_core import is_dominant, weight_from_x
-from kacmax.tuple_sets import (
-    enumerate_M,
-    enumerate_S_bruteforce,
-    format_x,
-    max_ell,
-)
+from kacmax.tuple_sets import enumerate_M, format_x, max_ell
+from oracles import enumerate_S_bruteforce
 
 # family-5 columns of the level-3 boundary table, frozen by hand
 FAMILY5_TABLE = {

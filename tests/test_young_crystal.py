@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax import young_crystal
-from kacmax.affine_core import check_params, gamma
 from kacmax.lattice_paths import count_T
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
@@ -17,6 +15,12 @@ from kacmax.young_crystal import (
     from_color_counts,
     is_crystal_element,
     parse_diagram,
+)
+from oracles import (
+    diagrams_up_to,
+    from_color_counts_by_rows,
+    is_crystal_element_by_definition,
+    weight_space_by_brute_force,
 )
 
 
@@ -72,30 +76,6 @@ def test_from_color_counts_rejects_gaps():
         from_color_counts({0: 1, 1: 1, -1: 2, 5: -1})
 
 
-def _from_color_counts_by_rows(counts):
-    """The definition `from_color_counts` is checked against, built from
-    sets: color c >= 0 with count m puts one box in each of the columns
-    c..c+m-1, color c < 0 one in each of the columns 0..m-1, at row
-    i - c + 1 of column i; the counts are realizable when every column is a
-    gapless prefix of rows and the depths weakly decrease."""
-    columns = {}
-    for c, cnt in counts.items():
-        if cnt < 0:
-            raise ValueError(f"color {c} has negative count {cnt}")
-        start = c if c >= 0 else 0
-        for i in range(start, start + cnt):
-            columns.setdefault(i, set()).add(i - c + 1)
-    depths = []
-    for i in range(max(columns, default=-1) + 1):
-        rows = columns.get(i, set())
-        if rows != set(range(1, len(rows) + 1)):
-            raise ValueError(f"counts leave a gap in column {i}")
-        depths.append(len(rows))
-    if any(a < b for a, b in zip(depths, depths[1:])):
-        raise ValueError(f"counts give non-monotone column depths {depths}")
-    return ExtendedYoungDiagram.from_depths(depths)
-
-
 def _built_or_refused(build, counts):
     try:
         return build(counts)
@@ -116,12 +96,12 @@ def test_from_color_counts_matches_the_row_builder():
             counts[rng.randint(-5, 5)] = -1
         if trial % 7 == 0:
             counts[rng.choice((-60, 41))] = 0
-        want = _built_or_refused(_from_color_counts_by_rows, counts)
+        want = _built_or_refused(from_color_counts_by_rows, counts)
         assert _built_or_refused(from_color_counts, counts) == want, counts
         realizable += isinstance(want, ExtendedYoungDiagram)
     # and every diagram of at most 7 boxes, from its own counts
-    for y in _diagrams_up_to(7):
-        assert from_color_counts(color_counts(y)) == _from_color_counts_by_rows(color_counts(y))
+    for y in diagrams_up_to(7):
+        assert from_color_counts(color_counts(y)) == from_color_counts_by_rows(color_counts(y))
     assert realizable > 1000
 
 
@@ -231,31 +211,6 @@ def test_up_front_refusal_is_a_lower_bound(ell, monkeypatch):
     assert len(enumerate_weight_space(ell, 1, node_budget=2)) == 1
 
 
-def _is_crystal_element_by_definition(diagrams, n):
-    # the membership predicate read straight off the definition, one entry
-    # at a time, as the reference for is_crystal_element
-    ys = tuple(diagrams)
-    k = len(ys)
-    if k < 1:
-        raise ValueError("need at least one diagram")
-    check_params(n)
-    width = max((len(y.entries) for y in ys), default=0) + 2
-    for a, b in zip(ys, ys[1:]):
-        if any(b.entry(i) < a.entry(i) for i in range(width)):
-            return False
-    first, last = ys[0], ys[-1]
-    if any(last.entry(i) > first.entry(i) + n for i in range(width)):
-        return False
-
-    def upper(j, i):  # entry of Y_{j+1}, wrapping to the shifted Y_1
-        return ys[j].entry(i) if j < k else first.entry(i) + n
-
-    for i in range(width):
-        if not any(upper(j + 1, i) > ys[j].entry(i + 1) for j in range(k)):
-            return False
-    return True
-
-
 def test_is_crystal_element_matches_definition():
     rng = random.Random(20260)
     members = 0
@@ -270,42 +225,15 @@ def test_is_crystal_element_matches_definition():
         if trial % 2:
             # a chain runs from the largest diagram down, so members occur
             ys.sort(key=lambda y: y.boxes, reverse=True)
-        want = _is_crystal_element_by_definition(ys, n)
+        want = is_crystal_element_by_definition(ys, n)
         assert is_crystal_element(ys, n) == want, (ys, n)
         members += want
     assert members > 1000
-    for check in (is_crystal_element, _is_crystal_element_by_definition):
+    for check in (is_crystal_element, is_crystal_element_by_definition):
         with pytest.raises(ValueError, match="at least one diagram"):
             check((), 4)
         with pytest.raises(ValueError, match="n >= 2"):
             check((ExtendedYoungDiagram(()),), 1)
-
-
-def _diagrams_up_to(boxes):
-    # every diagram with at most `boxes` boxes, as weakly decreasing depths
-    def parts(left, cap):
-        yield ()
-        for d in range(min(left, cap), 0, -1):
-            for rest in parts(left - d, d):
-                yield (d,) + rest
-
-    return [ExtendedYoungDiagram.from_depths(p) for p in parts(boxes, boxes)]
-
-
-def _weight_space_by_brute_force(n, k, ell):
-    budget = gamma(n, ell, k).m
-    fitting = []
-    for y in _diagrams_up_to(ell * ell):
-        m = diagram_weight(y, n).m
-        if all(v <= b for v, b in zip(m, budget)):
-            fitting.append((y, m))
-    found = set()
-    for tup in itertools.product(fitting, repeat=k):
-        total = tuple(map(sum, zip(*(m for _, m in tup))))
-        ys = tuple(y for y, _ in tup)
-        if total == budget and is_crystal_element(ys, n):
-            found.add(ys)
-    return found
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -314,7 +242,7 @@ def test_weight_space_matches_brute_force(ell, k):
     # the brute force reads the budget and membership at each rank itself
     els = enumerate_weight_space(ell, k)
     for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
-        assert els == _weight_space_by_brute_force(n, k, ell), n
+        assert els == weight_space_by_brute_force(n, k, ell), n
 
 
 if __name__ == "__main__":
