@@ -4,8 +4,12 @@ The underlying inequality system: a nonnegative integer tuple (x_1,...,x_{n-1})
 with prescribed first and last entries whose image under the classical Cartan
 matrix is entrywise >= 0, except that -1 is allowed at one marked position s
 (no relaxation when s = 0).  The five `enumerate_M` families produce that set
-piecewise, split by where the maximal plateau of the tuple sits relative to s;
-their building blocks are segments with concave differences.
+piecewise, split by where the maximal plateau P of the tuple sits relative to
+s (with x_0 = x_n = 0): family 5 when P covers s; families 1 and 2 when P ends
+before s, with a drop (1) or a second plateau (2) right after x_s, or s = n-1
+(1); families 3 and 4 are their mirror images, P starting after s.  Families
+1 and 2 are one construction, whose tail after x_s has smallest drop t >= 1
+or t = 0.  The building blocks are segments with concave differences.
 """
 
 from __future__ import annotations
@@ -83,69 +87,37 @@ def _falls(top, bottom, d_min, d_max, length=None, first_drop=None):
         yield tuple(seq)
 
 
-def _m1(s, n, x1, xn1):
-    # plateau strictly before s, with a jump of size t1 right after s
-    if s == 0:
-        return set()
+def _m12(s, n, x1, xn1, family):
+    # plateau strictly before s, drops in [1, t+1] onto x_s, then a tail
+    # whose smallest drop is t: t >= 1 in family 1, t = 0 (a second plateau
+    # at x_s) in family 2
     out = set()
-
-    if s == n - 1:
-        # tail segment degenerates to the single entry x_s = x_{n-1}, and
-        # the jump parameter is pinned to t1 = x_{n-1} (possibly zero, in
-        # which case the descent onto it proceeds by unit steps)
-        xs_ = xn1
-        t1 = xn1
-        if xs_ > x1 * (s - 1) - 1:
-            return set()
-        for ell1 in range(max(x1, xs_ + 1), max_ell(x1, t1 + 1, xs_, s) + 1):
-            for rise in _rises(x1, ell1, x1):
-                p = len(rise)
-                for d1 in _falls(ell1, xs_, 1, t1 + 1):
-                    q = s - len(d1) + 1
-                    if q < p:
-                        continue
-                    out.add(rise + (ell1,) * (q - p) + d1[1:])
-        return out
-
-    xs_hi = min(x1 * (s - 1) - 1, xn1 * (n - s))
-    for xs_ in range(xn1 + n - s - 1, xs_hi + 1):
-        t_lo = max(1, xs_ - xn1 * (n - s - 1))
-        t_hi = (xs_ - xn1) // (n - s - 1)
-        for t1 in range(t_lo, t_hi + 1):
-            tails = list(_falls(xs_, xn1, t1, xn1, length=n - s, first_drop=t1))
-            if not tails:
-                continue
-            for ell1 in range(max(x1, xs_ + 1), max_ell(x1, t1 + 1, xs_, s) + 1):
-                for rise in _rises(x1, ell1, x1):
-                    p = len(rise)
-                    for d1 in _falls(ell1, xs_, 1, t1 + 1):
+    m = n - s - 1  # drops of the tail (x_s, ..., x_{n-1})
+    for xs_ in range(xn1, min(x1 * (s - 1) - 1, xn1 * (n - s)) + 1):
+        if m == 0:  # the jump after s is the last drop, down to x_n = 0
+            ts = (xn1,) if family == 1 else ()
+        elif family == 1:
+            ts = range(max(1, xs_ - xn1 * m), (xs_ - xn1) // m + 1)
+        else:
+            ts = (0,) if xs_ <= xn1 * m else ()
+        for t in ts:
+            heads = []
+            for ell in range(max(x1, xs_ + 1), max_ell(x1, t + 1, xs_, s) + 1):
+                for rise in _rises(x1, ell, x1):
+                    for d1 in _falls(ell, xs_, 1, t + 1):
                         q = s - len(d1) + 1
-                        if q < p:
-                            continue
-                        head = rise + (ell1,) * (q - p) + d1[1:]
-                        for d2 in tails:
-                            out.add(head + d2[1:])
-    return out
-
-
-def _m2(s, n, x1, xn1):
-    # plateau strictly before s, unit-step descent onto a second plateau at x_s
-    if s == 0 or s == n - 1:
-        return set()
-    out = set()
-    xs_hi = min(xn1 * (n - s - 1), x1 * (s - 1) - 1)
-    for xs_ in range(max(xn1, x1 - s + 1), xs_hi + 1):
-        for ell2 in range(max(x1, xs_ + 1), max_ell(x1, 1, xs_, s) + 1):
-            q = s - (ell2 - xs_)
-            d1 = tuple(range(ell2, xs_ - 1, -1))  # forced unit drops
-            for rise in _rises(x1, ell2, x1):
-                p = len(rise)
-                if q < p:
-                    continue
-                head = rise + (ell2,) * (q - p) + d1[1:]
-                for r in range(s + 1, n):
-                    for d2 in _falls(xs_, xn1, 1, xn1, length=n - r):
-                        out.add(head + (xs_,) * (r - s) + d2[1:])
+                        if q >= len(rise):
+                            heads.append(rise + (ell,) * (q - len(rise)) + d1[1:])
+            if not heads:
+                continue
+            if m == 0:
+                tails = [(xs_,)]
+            elif t:
+                tails = list(_falls(xs_, xn1, t, xn1, length=m + 1, first_drop=t))
+            else:
+                tails = [(xs_,) * z + d2 for z in range(1, m + 1)
+                         for d2 in _falls(xs_, xn1, 1, xn1, length=m + 1 - z)]
+            out.update(h + d2[1:] for h in heads for d2 in tails)
     return out
 
 
@@ -177,25 +149,20 @@ def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:
     Families 3 and 4 are the mirror images of families 1 and 2 (reverse each
     tuple, swap s -> n-s and the boundary entries).  Families 1..4 are empty
     when s = 0.  For n = 2 the single coordinate is both boundary entries, so
-    mismatched boundary parameters give the empty set.
+    mismatched boundary parameters give the empty set.  A family outside
+    1..5 raises ValueError at every n.
     """
+    if family not in (1, 2, 3, 4, 5):
+        raise ValueError(f"family must be 1..5, got {family}")
     check_params(n, s=s)
     if x1 < 0 or xn1 < 0:
         raise ValueError(f"boundary entries must be nonnegative, got {x1}, {xn1}")
     if n == 2 and x1 != xn1:
         return frozenset()
-    if family == 1:
-        return frozenset(_m1(s, n, x1, xn1))
-    if family == 2:
-        return frozenset(_m2(s, n, x1, xn1))
-    if family == 3:
-        if s == 0:
-            return frozenset()
-        return frozenset(t[::-1] for t in _m1(n - s, n, xn1, x1))
-    if family == 4:
-        if s == 0:
-            return frozenset()
-        return frozenset(t[::-1] for t in _m2(n - s, n, xn1, x1))
     if family == 5:
         return frozenset(_m5(s, n, x1, xn1))
-    raise ValueError(f"family must be 1..5, got {family}")
+    if s == 0:
+        return frozenset()
+    if family <= 2:
+        return frozenset(_m12(s, n, x1, xn1, family))
+    return frozenset(t[::-1] for t in _m12(n - s, n, xn1, x1, family - 2))

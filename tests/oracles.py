@@ -152,8 +152,7 @@ def level2_explicit_weights(n: int, s: int):
     weight plus one staircase family when s = 0, or two when s > 0.
 
     The paper's explicit level-2 list, checked against
-    `maximal_dominant_weights(n, 2, s)` in
-    test_maximal_weights::test_level2_explicit_matches_enumeration and
+    `maximal_dominant_weights(n, 2, s)` at every n <= 24 and s in
     test_acceptance::test_criterion_9_level2_explicit_description; its
     parameter check in test_affine_core::test_entry_points_reject_out_of_range_params.
     """
@@ -222,6 +221,31 @@ def enumerate_S_bruteforce(n: int, s: int, x1: int, xn1: int) -> frozenset:
 
     extend((x1,))
     return frozenset(found)
+
+
+def family_of(x, s):
+    """The `enumerate_M` family (1..5) that holds the tuple x, read off its
+    shape, for s >= 1.
+
+    Pins the paper's split of the system into five families by where the
+    maximal plateau sits relative to s: around s (5), wholly before s with a
+    drop (1) or a second plateau (2) right after s, or wholly after s with a
+    rise (3) or a second plateau (4) right before s.  With x_0 = x_n = 0 and
+    P the positions where x reaches max(x): 5 if min P <= s <= max P;
+    otherwise, if max P < s, 1 when s = n-1 or x_s > x_{s+1} and else 2;
+    otherwise 3 when s = 1 or x_s > x_{s-1} and else 4.  Used by
+    test_acceptance::test_criterion_6_families_partition_the_system, and by
+    the CI console-script step on a wider grid.
+    """
+    y = (0,) + x + (0,)
+    n = len(y) - 1
+    top = max(x)
+    plateau = [i for i in range(1, n) if y[i] == top]
+    if plateau[0] <= s <= plateau[-1]:
+        return 5
+    if plateau[-1] < s:
+        return 1 if s == n - 1 or y[s] > y[s + 1] else 2
+    return 3 if s == 1 or y[s] > y[s - 1] else 4
 
 
 # -- multiplicity: paths, permutations and shapes ----------------------------

@@ -31,6 +31,7 @@ from kacmax.tuple_sets import enumerate_M
 from kacmax.young_crystal import enumerate_weight_space
 from oracles import (
     enumerate_S_bruteforce,
+    family_of,
     gessel_4321_avoiders,
     level2_explicit_weights,
     u_closed_form,
@@ -213,8 +214,11 @@ def test_criterion_6_families_partition_the_system():
                     if s > 0:
                         for a, b in itertools.combinations(fams, 2):
                             assert not (a & b), (n, s, x1, xn1)
+                        for f, fam in enumerate(fams, 1):
+                            for x in fam:
+                                assert family_of(x, s) == f, (n, s, x1, xn1, x)
     assert time.time() - t0 < 120.0
-    print("criterion 6 (five families partition the solution set, n <= 9): pass")
+    print("criterion 6 (five families partition the solution set by shape, n <= 9): pass")
 
 
 def test_criterion_7_three_u_routes():
@@ -249,13 +253,13 @@ def test_criterion_8_bijections_roundtrip():
 
 def test_criterion_9_level2_explicit_description():
     t0 = time.time()
-    for n in range(2, 13):
+    for n in range(2, 25):
         for s in range(n):
             got = [w.m for w in maximal_dominant_weights(n, 2, s).weights]
             want = [w.m for w in level2_explicit_weights(n, s)]
             assert got == want, (n, s)
     assert time.time() - t0 < 1.0
-    print("criterion 9 (level-2 weights match the explicit description): pass")
+    print("criterion 9 (level-2 weights match the explicit description, n <= 24): pass")
 
 
 if __name__ == "__main__":

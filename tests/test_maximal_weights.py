@@ -11,7 +11,6 @@ from kacmax.maximal_weights import (
 )
 from oracles import (
     kac_maximal_weights,
-    level2_explicit_weights,
     qbinomial_columns_mod,
     u_closed_form,
     u_recursive,
@@ -110,14 +109,6 @@ def test_level2_rank4_with_marked_node():
     assert [w.m for w in report.weights] == [(0, 0, 0, 0), (1, 1, 0, 0)]
     assert report.formula_count is None
     assert report.agree is None
-
-
-def test_level2_explicit_matches_enumeration():
-    for n in range(2, 13):
-        for s in range(n):
-            got = [w.m for w in maximal_dominant_weights(n, 2, s).weights]
-            want = [w.m for w in level2_explicit_weights(n, s)]
-            assert got == want, (n, s)
 
 
 def test_weights_are_sorted_and_distinct():

@@ -82,6 +82,8 @@ def test_enumerate_M_validation():
         enumerate_M(5, 4, 4, 1, 1)  # s out of range
     with pytest.raises(ValueError):
         enumerate_M(5, 0, 1, 0, 0)
+    with pytest.raises(ValueError):
+        enumerate_M(7, 1, 2, 1, 2)  # bad family, even where n = 2 gives the empty set
 
 
 def test_families_1_to_4_empty_for_s_zero():
