@@ -37,7 +37,7 @@ _EXPORTS = {
         "count_avoiding_grid",
         "longest_decreasing",
     ),
-    "tuple_sets": ("enumerate_M", "max_ell"),
+    "tuple_sets": ("enumerate_M",),
     "young_crystal": (
         "ExtendedYoungDiagram",
         "NodeBudgetExceeded",

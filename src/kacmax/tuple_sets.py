@@ -9,7 +9,10 @@ s (with x_0 = x_n = 0): family 5 when P covers s; families 1 and 2 when P ends
 before s, with a drop (1) or a second plateau (2) right after x_s, or s = n-1
 (1); families 3 and 4 are their mirror images, P starting after s.  Families
 1 and 2 are one construction, whose tail after x_s has smallest drop t >= 1
-or t = 0.  The building blocks are segments with concave differences.
+or t = 0.  The building blocks are segments with concave differences, all
+from one builder, `_falls`: a rise is a fall read backwards.  The largest
+plateau height is scanned up from the height loop's own start: one cost
+check per height that the loop visits, and one more.
 """
 
 from __future__ import annotations
@@ -21,29 +24,12 @@ def format_x(x: tuple[int, ...]) -> str:
     return "(" + ",".join(str(v) for v in x) + ")"
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def max_ell(c: int, d: int, e: int, f: int) -> int:
-    """Largest ell >= 0 with ceil(ell/c) + ceil((ell-e)/d) <= f.
-
-    Closed form, self-checked at runtime.  Raises ValueError when c or d is
-    not positive or when even ell = 0 fails the inequality.
-    """
-    if c < 1 or d < 1:
-        raise ValueError(f"need positive c and d, got c={c}, d={d}")
-
-    def cost(ell: int) -> int:
-        return _ceil_div(ell, c) + _ceil_div(ell - e, d)
-
-    if cost(0) > f:
-        raise ValueError(f"no nonnegative solution for c={c} d={d} e={e} f={f}")
-    m = (d * f + e) % (c + d)
-    base = c * (d * f + e - m) // (c + d)
-    ans = max(base, base + m - d)
-    assert cost(ans) <= f and cost(ans + 1) > f, (c, d, e, f, ans)
-    return ans
+def _last_fit(ell, c, d, e, f):
+    # largest ell' >= ell - 1 with ceil(ell'/c) + ceil((ell'-e)/d) <= f; the
+    # cost never falls as ell' grows, so scan up from the caller's own start
+    while -(-ell // c) - (e - ell) // d <= f:
+        ell += 1
+    return ell - 1
 
 
 def _partitions(total, max_part, min_part):
@@ -58,29 +44,11 @@ def _partitions(total, max_part, min_part):
             yield (first,) + rest
 
 
-def _rises(start, top, d_max):
-    # tuples (start, ..., top) with weakly decreasing differences in [1, d_max];
-    # the single-entry tuple when start == top
-    if top < start:
-        return
-    for parts in _partitions(top - start, d_max, 1):
-        seq = [start]
-        for d in parts:
-            seq.append(seq[-1] + d)
-        yield tuple(seq)
-
-
-def _falls(top, bottom, d_min, d_max, length=None, first_drop=None):
+def _falls(top, bottom, d_min, d_max):
     # tuples (top, ..., bottom) whose drops read left to right are weakly
-    # increasing and lie in [d_min, d_max]; optional exact length and exact
-    # first (i.e. smallest) drop
-    if bottom > top:
-        return
-    for parts in _partitions(top - bottom, d_max, max(d_min, 1)):
-        if length is not None and len(parts) != length - 1:
-            continue
-        if first_drop is not None and (not parts or parts[-1] != first_drop):
-            continue
+    # increasing and lie in [d_min, d_max], d_min >= 1; read backwards, a fall
+    # from top to start with drops in [1, d_max] is a rise from start to top
+    for parts in _partitions(top - bottom, d_max, d_min):
         seq = [top]
         for d in reversed(parts):  # smallest drop first
             seq.append(seq[-1] - d)
@@ -102,8 +70,10 @@ def _m12(s, n, x1, xn1, family):
             ts = (0,) if xs_ <= xn1 * m else ()
         for t in ts:
             heads = []
-            for ell in range(max(x1, xs_ + 1), max_ell(x1, t + 1, xs_, s) + 1):
-                for rise in _rises(x1, ell, x1):
+            lo = max(x1, xs_ + 1)
+            for ell in range(lo, _last_fit(lo, x1, t + 1, xs_, s) + 1):
+                for rise in _falls(ell, x1, 1, x1):
+                    rise = rise[::-1]
                     for d1 in _falls(ell, xs_, 1, t + 1):
                         q = s - len(d1) + 1
                         if q >= len(rise):
@@ -113,25 +83,28 @@ def _m12(s, n, x1, xn1, family):
             if m == 0:
                 tails = [(xs_,)]
             elif t:
-                tails = list(_falls(xs_, xn1, t, xn1, length=m + 1, first_drop=t))
+                tails = [d2 for d2 in _falls(xs_, xn1, t, xn1)
+                         if len(d2) == m + 1 and d2[0] - d2[1] == t]
             else:
-                tails = [(xs_,) * z + d2 for z in range(1, m + 1)
-                         for d2 in _falls(xs_, xn1, 1, xn1, length=m + 1 - z)]
+                tails = [(xs_,) * (m + 1 - len(d2)) + d2
+                         for d2 in _falls(xs_, xn1, 1, xn1) if len(d2) <= m]
             out.update(h + d2[1:] for h in heads for d2 in tails)
     return out
 
 
 def _m5(s, n, x1, xn1):
     # single plateau covering position s (any plateau position when s = 0)
+    lo = max(x1, xn1)
     if s == 0:
         if x1 == 0 or xn1 == 0:
             return {(0,) * (n - 1)} if x1 == xn1 == 0 else set()
-        ell_hi = max_ell(x1, xn1, 0, n)
+        ell_hi = _last_fit(lo, x1, xn1, 0, n)
     else:
         ell_hi = min(s * x1, (n - s) * xn1)
     out = set()
-    for ell5 in range(max(x1, xn1), ell_hi + 1):
-        for rise in _rises(x1, ell5, x1):
+    for ell5 in range(lo, ell_hi + 1):
+        for rise in _falls(ell5, x1, 1, x1):
+            rise = rise[::-1]
             q = len(rise)
             if s > 0 and q > s:
                 continue
@@ -157,8 +130,6 @@ def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:
     check_params(n, s=s)
     if x1 < 0 or xn1 < 0:
         raise ValueError(f"boundary entries must be nonnegative, got {x1}, {xn1}")
-    if n == 2 and x1 != xn1:
-        return frozenset()
     if family == 5:
         return frozenset(_m5(s, n, x1, xn1))
     if s == 0:

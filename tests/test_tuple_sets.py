@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax.affine_core import is_dominant, weight_from_x
-from kacmax.tuple_sets import enumerate_M, format_x, max_ell
+from kacmax.tuple_sets import _last_fit, enumerate_M, format_x
 from oracles import enumerate_S_bruteforce
 
 # family-5 columns of the level-3 boundary table, frozen by hand
@@ -42,37 +42,19 @@ def test_format_parse_roundtrip():
     assert format_x((1, 2, 3, 2, 1)) == "(1,2,3,2,1)"
 
 
-def test_max_ell_known_values():
-    assert max_ell(1, 1, 0, 6) == 3
-    assert max_ell(1, 2, 0, 6) == 4
-    assert max_ell(1, 1, 0, 2) == 1
-    assert max_ell(2, 1, 0, 3) == 2
-    assert max_ell(1, 1, 3, 0) == 1
+def test_last_fit_known_values():
+    assert _last_fit(0, 1, 1, 0, 6) == 3
+    assert _last_fit(0, 1, 2, 0, 6) == 4
+    assert _last_fit(0, 1, 1, 0, 2) == 1
+    assert _last_fit(0, 2, 1, 0, 3) == 2
+    assert _last_fit(0, 1, 1, 3, 0) == 1
+    assert _last_fit(5, 1, 1, 0, 6) == 4  # the start already fails
 
 
-def test_max_ell_errors():
-    with pytest.raises(ValueError):
-        max_ell(0, 1, 0, 5)
-    with pytest.raises(ValueError):
-        max_ell(1, 1, 0, -1)  # even ell = 0 fails
-
-
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=12),
-)
-def test_max_ell_matches_linear_scan(c, d, e, f):
-    def cost(ell):
-        return -(-ell // c) + -(-(ell - e) // d)
-
-    best = None
-    for ell in range(0, c * (f + e) + d * f + 2):
-        if cost(ell) <= f:
-            best = ell
-    assert best is not None
-    assert max_ell(c, d, e, f) == best
+def test_huge_boundary_entries_return_at_once():
+    # the plateau bound is scanned from the start height, not from 0
+    assert enumerate_M(5, 0, 3, 10**9, 10**9) == frozenset({(10**9, 10**9)})
+    assert enumerate_M(5, 0, 3, 10**9, 1) == frozenset()
 
 
 def test_enumerate_M_validation():
