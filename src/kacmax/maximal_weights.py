@@ -1,7 +1,9 @@
 """Maximal dominant weights of the level-k modules, with closed-form counts.
 
-The weight list comes from sweeping the five plateau families over all
-admissible boundary pairs and converting each tuple to its alpha-expansion.
+The weight list comes from sweeping the five plateau families over every
+boundary pair with x1 + x_{n-1} <= k - 1 + [s = 0] and converting each tuple
+to its alpha-expansion.  At s = 0 a pair with one zero entry holds nothing:
+with no relaxation, a concave tuple that starts or ends at 0 is all zeros.
 For s = 0 the count is conjectured to equal a cyclic-binomial formula.
 """
 
@@ -23,16 +25,6 @@ class MaxWeightReport(
     __slots__ = ()
 
 
-def _boundary_pairs(k: int, s: int):
-    # x1 + x_{n-1} <= k - 1 + [s == 0], both entries >= [s == 0]; the zero
-    # pair is always admissible (it carries the highest weight itself)
-    lo = 1 if s == 0 else 0
-    cap = k - 1 + (1 if s == 0 else 0)
-    pairs = {(a, b) for a in range(lo, cap + 1) for b in range(lo, cap - a + 1)}
-    pairs.add((0, 0))
-    return sorted(pairs)
-
-
 def maximal_dominant_weights(n: int, k: int, s: int = 0) -> MaxWeightReport:
     """All maximal dominant weights for parameters (n, k, s).
 
@@ -41,9 +33,11 @@ def maximal_dominant_weights(n: int, k: int, s: int = 0) -> MaxWeightReport:
     """
     check_params(n, k, s)
     # family 5 gives the zero tuple (the highest weight) at the pair (0, 0)
+    cap = k - 1 + (s == 0)
     weights = {
         weight_from_x(n, k, s, x)
-        for a, b in _boundary_pairs(k, s)
+        for a in range(cap + 1)
+        for b in range(cap + 1 - a)
         for family in (1, 2, 3, 4, 5)
         for x in enumerate_M(family, s, n, a, b)
     }
@@ -53,26 +47,14 @@ def maximal_dominant_weights(n: int, k: int, s: int = 0) -> MaxWeightReport:
     return MaxWeightReport(n, k, s, ws, len(ws), formula, agree)
 
 
-def _totient(d: int) -> int:
-    result, m, p = d, d, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def count_formula(n: int, k: int) -> int:
     """Conjectured count for s = 0: a cyclic average of binomials,
-    (1/(n+k)) * sum over d | gcd(n,k) of phi(d) * C((n+k)/d, k/d)."""
+    (1/(n+k)) * sum over d | gcd(n,k) of phi(d) * C((n+k)/d, k/d), where
+    phi(d) is counted from its definition, the units modulo d."""
     check_params(n, k)
     g = math.gcd(n, k)
     total = sum(
-        _totient(d) * math.comb((n + k) // d, k // d)
+        sum(math.gcd(i, d) == 1 for i in range(d)) * math.comb((n + k) // d, k // d)
         for d in range(1, g + 1)
         if g % d == 0
     )

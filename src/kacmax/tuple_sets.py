@@ -96,9 +96,8 @@ def _m5(s, n, x1, xn1):
     # single plateau covering position s (any plateau position when s = 0)
     lo = max(x1, xn1)
     if s == 0:
-        if x1 == 0 or xn1 == 0:
-            return {(0,) * (n - 1)} if x1 == xn1 == 0 else set()
-        ell_hi = _last_fit(lo, x1, xn1, 0, n)
+        # at a zero entry only height lo: (0, 0) gives the zero tuple, else none
+        ell_hi = _last_fit(lo, x1, xn1, 0, n) if x1 and xn1 else lo
     else:
         ell_hi = min(s * x1, (n - s) * xn1)
     out = set()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax.affine_core import is_dominant, weight_from_x
-from kacmax.tuple_sets import _last_fit, enumerate_M, format_x
+from kacmax.tuple_sets import _last_fit, _partitions, enumerate_M, format_x
 from oracles import enumerate_S_bruteforce
 
 # family-5 columns of the level-3 boundary table, frozen by hand
@@ -144,6 +144,17 @@ def test_degenerate_final_plateau():
 def test_bruteforce_respects_boundary():
     for x in enumerate_S_bruteforce(6, 2, 1, 2):
         assert x[0] == 1 and x[-1] == 2
+
+
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="_partitions recurses once per part, so `kacmax count --n 2100 --k 2` "
+    "dies; the iterative version waits for ROADMAP item 1a, and when it lands "
+    "this becomes a plain test",
+)
+def test_partitions_of_many_parts():
+    assert tuple(_partitions(2100, 1, 1)) == ((1,) * 2100,)
 
 
 if __name__ == "__main__":
