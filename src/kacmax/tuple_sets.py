@@ -10,9 +10,10 @@ before s, with a drop (1) or a second plateau (2) right after x_s, or s = n-1
 (1); families 3 and 4 are their mirror images, P starting after s.  Families
 1 and 2 are one construction, whose tail after x_s has smallest drop t >= 1
 or t = 0.  The building blocks are segments with concave differences, all
-from one builder, `_falls`: a rise is a fall read backwards.  The largest
-plateau height is scanned up from the height loop's own start: one cost
-check per height that the loop visits, and one more.
+built drop by drop by one recursive generator, `_falls`, whose recursion
+depth is the segment's number of drops; a rise is a fall read backwards.
+The largest plateau height is scanned up from the height loop's own start:
+one cost check per height that the loop visits, and one more.
 """
 
 from __future__ import annotations
@@ -32,27 +33,16 @@ def _last_fit(ell, c, d, e, f):
     return ell - 1
 
 
-def _partitions(total, max_part, min_part):
-    # weakly decreasing part tuples of `total` with parts in [min_part, max_part]
-    if total == 0:
-        yield ()
-        return
-    if total < 0 or min_part > max_part or min_part < 1:
-        return
-    for first in range(min(total, max_part), min_part - 1, -1):
-        for rest in _partitions(total - first, first, min_part):
-            yield (first,) + rest
-
-
 def _falls(top, bottom, d_min, d_max):
     # tuples (top, ..., bottom) whose drops read left to right are weakly
-    # increasing and lie in [d_min, d_max], d_min >= 1; read backwards, a fall
-    # from top to start with drops in [1, d_max] is a rise from start to top
-    for parts in _partitions(top - bottom, d_max, d_min):
-        seq = [top]
-        for d in reversed(parts):  # smallest drop first
-            seq.append(seq[-1] - d)
-        yield tuple(seq)
+    # increasing and lie in [d_min, d_max], built drop by drop; d_min >= 1,
+    # or a zero drop would recurse forever; read backwards, a fall from top
+    # to start with drops in [1, d_max] is a rise from start to top
+    if top == bottom:
+        yield (top,)
+    for d in range(d_min, min(d_max, top - bottom) + 1):
+        for rest in _falls(top - d, bottom, d, d_max):
+            yield (top,) + rest
 
 
 def _m12(s, n, x1, xn1, family):
@@ -83,8 +73,8 @@ def _m12(s, n, x1, xn1, family):
             if m == 0:
                 tails = [(xs_,)]
             elif t:
-                tails = [d2 for d2 in _falls(xs_, xn1, t, xn1)
-                         if len(d2) == m + 1 and d2[0] - d2[1] == t]
+                tails = [(xs_,) + d2 for d2 in _falls(xs_ - t, xn1, t, xn1)
+                         if len(d2) == m]
             else:
                 tails = [(xs_,) * (m + 1 - len(d2)) + d2
                          for d2 in _falls(xs_, xn1, 1, xn1) if len(d2) <= m]

@@ -137,16 +137,13 @@ def is_crystal_element(diagrams, n: int) -> bool:
     check_params(n)
     width = max(len(y.entries) for y in ys) + 1
     rows = [y.entries + (0,) * (width - len(y.entries)) for y in ys]
-    for a, b in zip(rows, rows[1:]):
-        if any(map(gt, a, b)):
-            return False
-    shifted = [v + n for v in rows[0]]
-    if any(map(gt, rows[-1], shifted)):
-        return False
+    rows.append(tuple(v + n for v in rows[0]))  # the wrap: Y_1 shifted by n
     # column i is slack in a pair when the upper member's entry i is at most
     # the lower member's entry i + 1
     covered = [False] * (width - 1)
-    for lower, upper in zip(rows, rows[1:] + [shifted]):
+    for lower, upper in zip(rows, rows[1:]):
+        if any(map(gt, lower, upper)):
+            return False
         covered = list(map(or_, covered, map(gt, upper, lower[1:])))
     return all(covered)
 

@@ -10,6 +10,7 @@ speed, and are meant for the small sizes the tests use.
 
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from itertools import permutations
 
@@ -246,6 +247,24 @@ def family_of(x, s):
     if plateau[-1] < s:
         return 1 if s == n - 1 or y[s] > y[s + 1] else 2
     return 3 if s == 1 or y[s] > y[s - 1] else 4
+
+
+def falls_by_definition(top, bottom, d_min, d_max):
+    """The tuples (top, ..., bottom) whose drops, read left to right, weakly
+    increase and lie in [d_min, d_max], as a set: every nondecreasing drop
+    tuple of each length from `combinations_with_replacement`, kept when its
+    drops sum to top - bottom and turned into heights by subtracting them in
+    turn from top.
+
+    Pins the drop-by-drop recursion of `tuple_sets._falls` in
+    test_tuple_sets::test_falls_match_definition.
+    """
+    out = set()
+    for length in range(top - bottom + 1):
+        for drops in itertools.combinations_with_replacement(range(d_min, d_max + 1), length):
+            if sum(drops) == top - bottom:
+                out.add(tuple(itertools.accumulate(drops, operator.sub, initial=top)))
+    return out
 
 
 # -- multiplicity: paths, permutations and shapes ----------------------------

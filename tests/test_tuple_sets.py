@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax.affine_core import is_dominant, weight_from_x
-from kacmax.tuple_sets import _last_fit, _partitions, enumerate_M, format_x
-from oracles import enumerate_S_bruteforce
+from kacmax.tuple_sets import _falls, _last_fit, enumerate_M, format_x
+from oracles import enumerate_S_bruteforce, falls_by_definition
 
 # family-5 columns of the level-3 boundary table, frozen by hand
 FAMILY5_TABLE = {
@@ -146,15 +146,26 @@ def test_bruteforce_respects_boundary():
         assert x[0] == 1 and x[-1] == 2
 
 
+def test_falls_match_definition():
+    for top in range(-1, 13):
+        for bottom in range(-1, 13):
+            for d_min in range(1, 5):
+                for d_max in range(7):
+                    got = list(_falls(top, bottom, d_min, d_max))
+                    assert len(got) == len(set(got)), (top, bottom, d_min, d_max)
+                    want = falls_by_definition(top, bottom, d_min, d_max)
+                    assert set(got) == want, (top, bottom, d_min, d_max)
+
+
 @pytest.mark.xfail(
     raises=RecursionError,
     strict=True,
-    reason="_partitions recurses once per part, so `kacmax count --n 2100 --k 2` "
+    reason="_falls recurses once per drop, so `kacmax count --n 2100 --k 2` "
     "dies; the iterative version waits for ROADMAP item 1a, and when it lands "
     "this becomes a plain test",
 )
-def test_partitions_of_many_parts():
-    assert tuple(_partitions(2100, 1, 1)) == ((1,) * 2100,)
+def test_falls_of_many_drops():
+    assert tuple(_falls(2100, 0, 1, 1)) == (tuple(range(2100, -1, -1)),)
 
 
 if __name__ == "__main__":
