@@ -90,23 +90,27 @@ def _table_patterns(ell_max, ks, _node_budget):
     return count_avoiding_grid(ell_max, ks[-1])
 
 
+# padding a chain of j nonempty diagrams with empty ones is a bijection onto
+# the k-chains with j nonempty members (the color content does not change,
+# and membership does not either, as the wrap pair covers every column), and
+# at most ell members are nonempty, so the searches run at min(k, ell)
+
 def _mult_crystal(ell, k, node_budget):
     from .young_crystal import enumerate_weight_space
 
-    return len(enumerate_weight_space(ell, k, node_budget=node_budget))
+    # an ell below 1 goes to the search as given, which names it in its error
+    levels = min(k, ell) if ell >= 1 else k
+    return len(enumerate_weight_space(ell, levels, node_budget=node_budget))
 
 
 def _table_crystal(ell_max, ks, node_budget):
-    # one search per ell, at the largest k: padding a chain of j nonempty
-    # diagrams with empty ones is a bijection onto the k-chains with j
-    # nonempty members (the color content does not change, and membership
-    # does not either, as the wrap pair covers every column), so cell
-    # (ell, k) counts the elements with at most k nonempty diagrams
+    # one search per ell, at the largest k; cell (ell, k) counts the
+    # elements with at most k nonempty diagrams
     from .young_crystal import enumerate_weight_space
 
     grid = {}
     for ell in range(1, ell_max + 1):
-        els = enumerate_weight_space(ell, ks[-1], node_budget=node_budget)
+        els = enumerate_weight_space(ell, min(ks[-1], ell), node_budget=node_budget)
         nonempty = Counter(sum(1 for y in el if y.entries) for el in els)
         for k in ks:
             grid[ell, k] = sum(m for j, m in nonempty.items() if j <= k)

@@ -10,16 +10,17 @@ color of that diagram position (see `young_crystal`), an integer in
 reading each region as an extended Young diagram recovers a containment
 chain.  No rank n enters here: the bijection lives in the ell x ell square,
 and n matters only to whether the chain is a crystal element.  Admissible
-tuples are counted by a small per-color transfer DP, and listed by reading
-the crystal search through that bijection.  The crystal model is imported
-inside the functions that read it, so a process that only counts never
-compiles it.
+tuples are counted by a per-color transfer DP, a walk over sorted vectors
+of min(k, ell) parts with one step rule: a box to the first member of each
+tie block.  They are listed by reading the crystal search through that
+bijection.  The crystal model is imported inside the functions that read
+it, so a process that only counts never compiles it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from operator import mul
+from itertools import accumulate
 
 
 class LatticePath(namedtuple("LatticePath", "moves")):
@@ -179,68 +180,70 @@ def enumerate_T(ell: int, k: int) -> frozenset:
     return out
 
 
-def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
-    """count_T(ell, k) for every 1 <= ell <= ell_max and 1 <= k <= k_max,
-    from one walk over k_max-vectors.
+def _field_width(ell_max: int) -> int:
+    # bits per packed part, one more than a part (at most ell_max) needs
+    return (ell_max + 1).bit_length() + 1
 
-    A step never lowers a state's number of nonzero parts, so the walk with
-    k-vectors is the walk with k_max-vectors restricted to the states with
-    at most k nonzero parts.  The states are kept apart by that number r;
-    after the steps to ell, the sum of mult^2 over each r is a bucket, and
-    count_T(ell, k) is the sum of the buckets r <= k.
 
-    A state s_0 >= s_1 >= ... is packed into one int, s_i in bits
-    [B*i, B*i + B) with B = (ell_max + 1).bit_length() + 1, so no part
-    (at most ell_max) reaches the top bit of its field.  Then
-    code - (code >> B) holds the differences s_i - s_{i+1} >= 0 field by
-    field with no borrows, and adding 2^(B-1) - 1 to each of the fields
-    0..r-2 sets their top bit exactly where the difference is positive,
-    that is where row i + 1 heads a tie block and can take a box.  That
-    mask, together with row 0, which can always take one, picks the
-    increments to add; they are kept in a dict keyed by the mask.
+def _walk(ell_max: int, k_max: int):
+    """The up-walk of `count_T`: yields, after each step ell = 1 .. ell_max,
+    the dict from each reachable state to its mult.
+
+    A state of ell boxes has at most ell nonzero parts, so the walk keeps
+    min(k_max, ell_max) of them; more would stay 0.  The state
+    s_0 >= s_1 >= ... is packed into one int, s_i in bits [B*i, B*i + B)
+    with B = (ell_max + 1).bit_length() + 1, so no part (at most ell_max)
+    reaches the top bit of its field.  Then code - (code >> B) holds the
+    differences s_i - s_{i+1} >= 0 field by field with no borrows, and
+    adding 2^(B-1) - 1 to each field but the last sets its top bit exactly
+    where the difference is positive, that is where row i + 1 heads a tie
+    block and takes a box; a run of trailing zeros is one tie block, so
+    its first member takes one.  That mask, together with row 0, which
+    always takes one, picks the increments to add; they are kept in a dict
+    keyed by the mask.
     """
     if ell_max < 1 or k_max < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
-    width = (ell_max + 1).bit_length() + 1
-    field_top = 1 << width - 1
-    # ones[r] has a 1 at the bottom of each field 0..r-2, the fields that
-    # hold the differences within r parts
-    ones = [sum(1 << width * i for i in range(r - 1)) for r in range(k_max + 1)]
-    low = [(field_top - 1) * o for o in ones]
-    high = [field_top * o for o in ones]
+    parts = min(k_max, ell_max)
+    width = _field_width(ell_max)
+    tops = range(width - 1, width * (parts - 1), width)  # the top bits of fields 0..parts-2
+    high = sum(1 << p for p in tops)
+    low = high - (high >> width - 1)
     steps_by_mask: dict[int, tuple[int, ...]] = {}
+    states = {1: 1}
+    yield states
+    for _ in range(1, ell_max):
+        new: dict[int, int] = {}
+        for code, mult in states.items():
+            mask = (code - (code >> width) + low) & high
+            steps = steps_by_mask.get(mask)
+            if steps is None:
+                # the box goes to row i + 1, one bit above the top bit of field i
+                steps = steps_by_mask[mask] = (1, *(2 << p for p in tops if mask >> p & 1))
+            for step in steps:
+                t = code + step
+                new[t] = new.get(t, 0) + mult
+        states = new
+        yield states
+
+
+def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
+    """count_T(ell, k) for every 1 <= ell <= ell_max and 1 <= k <= k_max,
+    from one walk.
+
+    A step never lowers a state's number of nonzero parts, so the walk for
+    k is the walk for k_max restricted to the states with at most k nonzero
+    parts.  After each step the sum of mult^2 is tallied by that number r,
+    read off the highest set bit of the packed state, and count_T(ell, k)
+    is the sum of the tallies r <= k.
+    """
+    width = _field_width(ell_max)
     grid: dict[tuple[int, int], int] = {}
-    # by_parts[r] maps each packed state with r nonzero parts to its mult
-    by_parts: list[dict[int, int]] = [{} for _ in range(k_max + 1)]
-    by_parts[1][1] = 1
-    for ell in range(1, ell_max + 1):
-        if ell > 1:
-            new: list[dict[int, int]] = [{} for _ in range(k_max + 1)]
-            for r in range(1, k_max + 1):
-                same = new[r]
-                lo, hi = low[r], high[r]
-                # the first zero takes a box, the zeros after it cannot; the
-                # state reached has one predecessor with r parts, and the
-                # steps within r + 1 parts come later, so none is there yet
-                grow = new[r + 1] if r < k_max else None
-                first_zero = 1 << width * r
-                for code, mult in by_parts[r].items():
-                    mask = (code - (code >> width) + lo) & hi
-                    steps = steps_by_mask.get(mask)
-                    if steps is None:
-                        steps = steps_by_mask[mask] = (1,) + tuple(
-                            1 << width * (i + 1) for i in range(k_max) if mask >> width * i & field_top
-                        )
-                    for step in steps:
-                        t = code + step
-                        same[t] = same.get(t, 0) + mult
-                    if grow is not None:
-                        grow[code + first_zero] = mult
-            by_parts = new
-        total = 0
-        for k in range(1, k_max + 1):
-            mults = by_parts[k].values()
-            total += sum(map(mul, mults, mults))
+    for ell, states in enumerate(_walk(ell_max, k_max), 1):
+        by_parts = [0] * k_max  # by_parts[r - 1] sums mult^2 over r nonzero parts
+        for code, mult in states.items():
+            by_parts[(code.bit_length() - 1) // width] += mult * mult
+        for k, total in enumerate(accumulate(by_parts), 1):
             grid[ell, k] = total
     return grid
 
@@ -261,10 +264,12 @@ def count_T(ell: int, k: int) -> int:
 
         count_T(ell, k) = sum over lambda of mult(lambda)^2,
 
-    with lambda over the partitions of ell into at most k parts.  The walk
-    is the one of `count_T_grid`, read at the cell (ell, k).
+    with lambda over the partitions of ell into at most k parts, the states
+    of the last step of `_walk`.
     """
-    return count_T_grid(ell, k)[ell, k]
+    for states in _walk(ell, k):
+        pass
+    return sum(m * m for m in states.values())
 
 
 def paths_to_ytuple(seq: PathSequence) -> tuple[ExtendedYoungDiagram, ...]:

@@ -11,7 +11,7 @@ weakly below the diagonal, implemented here in both directions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, starmap
+from itertools import accumulate, combinations, starmap
 from math import factorial, prod
 from operator import sub
 
@@ -83,10 +83,11 @@ def _shapes(total, max_rows):
 
 def _squares_by_rows(ell, max_rows, fact):
     """by_rows[r] = sum of (f^lambda)^2 over the shapes lambda of ell with
-    exactly r rows, r <= max_rows.  Each f^lambda comes from the product form
-    of the hook formula, ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where
-    h_i = lambda_i + r - i over the r rows of lambda."""
-    by_rows = [0] * (max_rows + 1)
+    exactly r rows, r <= min(max_rows, ell), as no shape of ell has more
+    rows.  Each f^lambda comes from the product form of the hook formula,
+    ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where h_i = lambda_i + r - i
+    over the r rows of lambda."""
+    by_rows = [0] * (min(max_rows, ell) + 1)
     for shape in _shapes(ell, max_rows):
         r = len(shape)
         h = [part + r - 1 - i for i, part in enumerate(shape)]
@@ -109,17 +110,16 @@ def count_avoiding(ell: int, k: int) -> int:
 def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
     """count_avoiding(ell, k) for every 1 <= ell <= ell_max and
     1 <= k <= k_max, from one shape pass per ell over the shapes with at
-    most k_max rows: the cell (ell, k) sums the row counts up to k."""
+    most k_max rows: the cell (ell, k) sums the row counts up to k, and a
+    cell k > ell holds them all."""
     if ell_max < 1 or k_max < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
     fact = [factorial(i) for i in range(ell_max + 1)]
     grid: dict[tuple[int, int], int] = {}
     for ell in range(1, ell_max + 1):
-        by_rows = _squares_by_rows(ell, k_max, fact)
-        total = 0
+        sums = list(accumulate(_squares_by_rows(ell, k_max, fact)))
         for k in range(1, k_max + 1):
-            total += by_rows[k]
-            grid[ell, k] = total
+            grid[ell, k] = sums[min(k, ell)]
     return grid
 
 

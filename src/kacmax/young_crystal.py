@@ -192,6 +192,12 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     the wrap pair covers every column.  So the search reads the budget, and
     checks each element, at n = 2*ell.
 
+    At most ell diagrams of an element are nonempty: each nonempty diagram
+    holds the corner box, of color 0, whose budget is ell.  Padding a chain
+    with empty diagrams changes neither its color counts nor membership
+    (the wrap pair covers every column), so the search runs over
+    min(k, ell) levels and pads each element with empty diagrams to k.
+
     Each diagram is generated as a sub-diagram of the one before it (the
     first as a sub-diagram of a rectangle as deep as the largest budget
     entry), column by column; a column stops as soon as one more box would
@@ -268,13 +274,13 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     column_colors = [[(i - r) % slots for r in range(ell)] for i in range(ell)]
 
     def extend(prev, room, left):
-        # chain holds k - left diagrams leaving `room` per color; the next
+        # chain holds levels - left diagrams leaving `room` per color; the next
         # one is a sub-diagram of prev
         tick()
         if left == 0:
             # the last diagram filled its room exactly, so the counts sum to
             # the budget
-            ys = tuple(map(diagram, chain))
+            ys = tuple(map(diagram, chain)) + padding
             assert is_crystal_element(ys, 2 * ell), ys
             results.append(ys)
             return
@@ -337,5 +343,7 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
         columns(0)
 
     # every column holds a box, so no diagram is wider than the budget total
-    extend((max(budget),) * sum(budget), budget, k)
+    levels = min(k, ell)
+    padding = (ExtendedYoungDiagram(),) * (k - levels)
+    extend((max(budget),) * sum(budget), budget, levels)
     return frozenset(results)

@@ -271,12 +271,15 @@ def falls_by_definition(top, bottom, d_min, d_max):
 
 
 def count_T_grid_by_tuples(ell_max, k_max):
-    """The walk of `count_T_grid` with each state kept as a tuple and each
-    tie block found by comparing neighbours, not packed into one int.
+    """The walk of `count_T_grid` with each state kept as a k_max-tuple and
+    each tie block found by comparing neighbours, not packed into one int.
+    It is a reference kept split by number of parts: a state of r parts
+    steps within r parts, and its first zero takes a box in a step of its
+    own, where the packed walk keeps one dict and one step rule.
 
     Pins the packed walk in test_lattice_paths::test_packed_walk_matches_tuple_walk,
-    test_packed_walk_with_more_rows_than_boxes and
-    test_packed_walk_at_field_width_edges.
+    test_packed_walk_with_more_rows_than_boxes,
+    test_packed_walk_at_field_width_edges and test_count_T_matches_tuple_walk.
     """
     grid = {}
     by_parts = [{} for _ in range(k_max + 1)]

@@ -246,6 +246,9 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:"), argv
+    code, out, err = run(capsys, "table", "--ell-max", "3", "--k-min", "5", "--k-max", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: --k-min 5 exceeds --k-max 3\n"
     # input outside the path/diagram bijection's domain
     for argv in (
         ("bijection", "--paths", "RRUU;RURU"),
@@ -330,13 +333,54 @@ def test_budget_guard_exit_code(capsys):
 def test_budget_guard_exit_code_during_search(capsys):
     # the up-front refusal lets these through; the in-search guard stops them
     for argv in (
-        ("multiplicity", "--ell", "1", "--k", "10", "--oracle", "crystal", "--node-budget", "4"),
+        ("multiplicity", "--ell", "2", "--k", "2", "--oracle", "crystal", "--node-budget", "4"),
         ("table", "--oracle", "crystal", "--ell-max", "3", "--k-max", "3", "--node-budget", "4"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
-        assert "resource guard" in err, argv
+        assert "resource guard: search exceeded 4 states" in err, argv
         assert out == "", argv
+
+
+def test_more_diagrams_than_boxes(capsys):
+    # at most ell diagrams of a chain are nonempty, so every route works at
+    # min(k, ell); the crystal search over all k levels recursed past the
+    # interpreter's limit
+    for ell, k, want in ((3, 600, "6"), (1, 2000, "1"), (4, 10**6, "24")):
+        code, out, err = run(capsys, "multiplicity", "--ell", str(ell), "--k", str(k), "--check-all")
+        assert (code, err) == (0, ""), (ell, k)
+        assert [row.split("\t")[3] for row in lines_of(out)[1:]] == [want] * 3, (ell, k)
+    code, out, err = run(capsys, "table", "--oracle", "crystal", "--ell-max", "3", "--k-max", "600")
+    assert (code, err) == (0, "")
+    assert [row.split("\t")[-1] for row in lines_of(out)[1:]] == ["1", "2", "6"]
+    assert run(capsys, "table", "--ell-max", "3", "--k-max", "600") == (0, out, "")
+
+
+def test_disagreement_exit_code(capsys, monkeypatch):
+    # an independent value off by one must exit 2 and say where
+    import kacmax.maximal_weights as maximal_weights
+    from kacmax import cli
+
+    formula = maximal_weights.count_formula
+    monkeypatch.setattr(maximal_weights, "count_formula", lambda n, k: formula(n, k) + 1)
+    patterns = cli._BACKENDS["patterns"]
+    monkeypatch.setitem(cli._BACKENDS, "patterns", cli._Backend(
+        lambda ell, k, budget: patterns.cell(ell, k, budget) + 1,
+        lambda ell_max, ks, budget: {
+            c: v + 1 for c, v in patterns.table(ell_max, ks, budget).items()
+        },
+    ))
+    for argv, message in (
+        (("count", "--n", "9", "--k", "4"), "count formula disagrees at n=9, k=4"),
+        (("multiplicity", "--ell", "3", "--k", "2", "--check-all"),
+         "backends disagree at ell=3, k=2: {'paths': 5, 'patterns': 6, 'crystal': 5}"),
+        (("verify", "--conjecture", "count", "--n-max", "3", "--k-max", "2"),
+         "4 grid cells disagree"),
+        (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "2"),
+         "3 grid cells disagree"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, message + "\n"), argv
 
 
 def _modules_loaded(*argv):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,30 @@ def test_packed_walk_with_more_rows_than_boxes():
     for ell_max in range(1, 7):
         for k_max in range(ell_max + 1, 13):
             assert count_T_grid(ell_max, k_max) == _restricted(want, ell_max, k_max), (ell_max, k_max)
+
+
+def test_count_T_matches_tuple_walk():
+    # count_T reads the walk's last step, not the grid, so it is checked on
+    # its own, at k up to 3 * ell where most rows stay empty
+    want = count_T_grid_by_tuples(24, 8)
+    for ell in range(1, 25):
+        for k in range(1, 9):
+            assert count_T(ell, k) == want[ell, k], (ell, k)
+    want = count_T_grid_by_tuples(6, 18)
+    for ell in range(1, 7):
+        for k in range(1, 3 * ell + 1):
+            assert count_T(ell, k) == want[ell, k], (ell, k)
+
+
+def test_walk_keeps_at_most_ell_parts():
+    # a state of ell boxes has at most ell nonzero parts, so a huge k costs
+    # no more than k = ell
+    start = time.process_time()
+    assert count_T(3, 10**6) == 6
+    grid = count_T_grid(3, 5000)
+    assert time.process_time() - start < 1
+    assert [grid[3, k] for k in (1, 2, 3, 4, 5000)] == [1, 5, 6, 6, 6]
+    assert len(grid) == 3 * 5000
 
 
 def test_packed_walk_at_field_width_edges():

@@ -101,6 +101,14 @@ def test_count_avoiding_values():
     assert count_avoiding(5, 1) == 1
 
 
+def test_count_avoiding_at_huge_k():
+    # no shape of ell has more than ell rows, so the row counts stop there;
+    # sized by k, this list asked for about 8 GB
+    start = time.process_time()
+    assert count_avoiding(3, 10**9) == 6
+    assert time.process_time() - start < 1
+
+
 def test_count_avoiding_catalan_for_one_forbidden_letter():
     for ell in range(1, 11):
         catalan = math.comb(2 * ell, ell) // (ell + 1)

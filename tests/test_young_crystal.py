@@ -155,6 +155,16 @@ def test_weight_space_sizes_match_path_count():
             assert len(enumerate_weight_space(ell, k)) == count_T(ell, k), (ell, k)
 
 
+def test_weight_space_pads_beyond_ell_diagrams():
+    # at most ell diagrams are nonempty, so the search runs ell levels and
+    # pads; searching all k levels recursed past the interpreter's limit
+    for ell, k in ((1, 2000), (3, 600)):
+        els = enumerate_weight_space(ell, k)
+        pad = (ExtendedYoungDiagram(),) * (k - ell)
+        assert els == {ys + pad for ys in enumerate_weight_space(ell, ell)}, (ell, k)
+        assert len(els) == count_T(ell, k), (ell, k)
+
+
 def test_weight_space_size_at_ell_8():
     assert len(enumerate_weight_space(8, 3)) == count_T(8, 3) == 15767
 
@@ -175,11 +185,14 @@ def test_node_budget_guard():
 
 
 def test_node_budget_guard_fires_during_search():
-    # passes the up-front refusal (Catalan(1) + 1 = 2 states) but a chain of
-    # ten diagrams needs more than four states
-    assert young_crystal._least_states(10, 1) == 2
+    # passes the up-front refusal (Catalan(2) + 1 = 3 states) but the search
+    # needs nine states
+    assert young_crystal._least_states(2, 2) == 3
     with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
-        enumerate_weight_space(1, 10, node_budget=4)
+        enumerate_weight_space(2, 2, node_budget=4)
+    assert len(enumerate_weight_space(2, 2, node_budget=9)) == 2
+    with pytest.raises(NodeBudgetExceeded, match="search exceeded 8 states"):
+        enumerate_weight_space(2, 2, node_budget=8)
 
 
 @pytest.mark.parametrize(
