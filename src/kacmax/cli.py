@@ -95,22 +95,26 @@ def _table_patterns(ell_max, ks, _node_budget):
 # and membership does not either, as the wrap pair covers every column), and
 # at most ell members are nonempty, so the searches run at min(k, ell)
 
-def _mult_crystal(ell, k, node_budget):
-    from .young_crystal import enumerate_weight_space
+def _crystal_search(ell, k, node_budget):
+    # the up-front refusal is the same at k and at min(k, ell), and is made
+    # at k, so that it names the k the user gave; an ell below 1 is refused
+    # there too, by name
+    from .young_crystal import _refuse_up_front, enumerate_weight_space
 
-    # an ell below 1 goes to the search as given, which names it in its error
-    levels = min(k, ell) if ell >= 1 else k
-    return len(enumerate_weight_space(ell, levels, node_budget=node_budget))
+    _refuse_up_front(ell, k, node_budget)
+    return enumerate_weight_space(ell, min(k, ell), node_budget=node_budget)
+
+
+def _mult_crystal(ell, k, node_budget):
+    return len(_crystal_search(ell, k, node_budget))
 
 
 def _table_crystal(ell_max, ks, node_budget):
     # one search per ell, at the largest k; cell (ell, k) counts the
     # elements with at most k nonempty diagrams
-    from .young_crystal import enumerate_weight_space
-
     grid = {}
     for ell in range(1, ell_max + 1):
-        els = enumerate_weight_space(ell, min(ks[-1], ell), node_budget=node_budget)
+        els = _crystal_search(ell, ks[-1], node_budget)
         nonempty = Counter(sum(1 for y in el if y.entries) for el in els)
         for k in ks:
             grid[ell, k] = sum(m for j, m in nonempty.items() if j <= k)

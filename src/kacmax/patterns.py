@@ -3,7 +3,10 @@
 A permutation avoids the strictly-decreasing pattern of length k+1 exactly
 when its longest strictly decreasing subsequence has length <= k; the number
 of such permutations of 1..ell equals the sum of squared standard-tableau
-counts over partition shapes of ell with at most k rows.  For k = 2 the
+counts over partition shapes of ell with at most k rows.  Those counts come
+from the hook-length formula, by one walk over the first-column hook
+lengths of the shapes: it picks them from the last row up, one recursion
+level per row, so it is at most min(k, ell) levels deep.  For k = 2 the
 classical bijection sends each 321-avoiding permutation to a monotone path
 weakly below the diagonal, implemented here in both directions.
 """
@@ -11,9 +14,8 @@ weakly below the diagonal, implemented here in both directions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations, starmap
-from math import factorial, prod
-from operator import sub
+from itertools import accumulate
+from math import factorial
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
@@ -51,57 +53,49 @@ def longest_decreasing(w) -> int:
     return len(tails)
 
 
-def _shapes(total, max_rows):
-    """The partitions of `total` into at most `max_rows` parts, in reverse
-    lexicographic order: fill greedily, then lower the last part that can
-    be lowered so the boxes after it still fit below it."""
-    if total == 0:
-        yield ()
-        return
-    if max_rows == 0:
-        return
-    parts = []
-    rem, cap = total, total  # boxes still to place, and the bound on the next part
-    while True:
-        while rem:
-            cap = min(cap, rem)
-            parts.append(cap)
-            rem -= cap
-        yield tuple(parts)
-        while parts:
-            v = parts.pop()
-            rem += v
-            # rows len(parts).. of at most v - 1 boxes each must hold all `rem` boxes
-            if (v - 1) * (max_rows - len(parts)) >= rem:
-                cap = v - 1
-                parts.append(cap)
-                rem -= cap
-                break
-        else:
-            return
-
-
 def _squares_by_rows(ell, max_rows, fact):
     """by_rows[r] = sum of (f^lambda)^2 over the shapes lambda of ell with
     exactly r rows, r <= min(max_rows, ell), as no shape of ell has more
-    rows.  Each f^lambda comes from the product form of the hook formula,
-    ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!, where h_i = lambda_i + r - i
-    over the r rows of lambda."""
-    by_rows = [0] * (min(max_rows, ell) + 1)
-    for shape in _shapes(ell, max_rows):
-        r = len(shape)
-        h = [part + r - 1 - i for i, part in enumerate(shape)]
-        vandermonde = prod(starmap(sub, combinations(h, 2)))
-        count, rem = divmod(fact[ell] * vandermonde, prod(map(fact.__getitem__, h)))
-        assert rem == 0, shape
-        by_rows[r] += count * count
+    rows.  A shape lambda_0 >= ... >= lambda_{r-1} >= 1 is fixed by its
+    first-column hooks h_i = lambda_i + r - 1 - i, which fall strictly to
+    h_{r-1} >= 1 and sum to ell + r(r-1)/2, and the hook formula reads
+    f^lambda = ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!.  One walk per r
+    picks the hooks from the last row up, one level per row."""
+    by_rows = [0]
+    for r in range(1, min(max_rows, ell) + 1):
+        by_rows.append(_hook_walk(fact, r, ell + r * (r - 1) // 2, (), fact[ell], 1))
     return by_rows
+
+
+def _hook_walk(fact, left, total, hooks, numerator, denominator):
+    """Sum of (N / D)^2 over the vectors that put `left` more hooks, summing
+    to `total`, above the picked `hooks`, each above the one before, where
+    N = ell! * prod_{i<j} (h_i - h_j) and D = prod h_i! over the whole
+    vector; `numerator` and `denominator` carry them over `hooks`.  A hook
+    h leaves left - 1 hooks of at least h + 1, ..., h + left - 1, which
+    bounds it, so every vector the walk starts ends at the one hook left."""
+    if left == 1:
+        for g in hooks:
+            numerator *= total - g
+        count, rem = divmod(numerator, denominator * fact[total])
+        assert rem == 0, hooks + (total,)
+        return count * count
+    squares = 0
+    low = hooks[-1] + 1 if hooks else 1
+    high = (total - left * (left - 1) // 2) // left
+    for h in range(low, high + 1):
+        n = numerator
+        for g in hooks:
+            n *= h - g
+        squares += _hook_walk(fact, left - 1, total - h, hooks + (h,), n, denominator * fact[h])
+    return squares
 
 
 def count_avoiding(ell: int, k: int) -> int:
     """Permutations of 1..ell with no strictly decreasing subsequence of
     length k+1: the sum of (f^lambda)^2 over shapes lambda of ell with at
-    most k rows, each f^lambda by the product form of the hook formula."""
+    most k rows, each f^lambda by the product form of the hook formula over
+    its first-column hooks, from a walk at most min(k, ell) levels deep."""
     if ell < 1 or k < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
     return sum(_squares_by_rows(ell, k, [factorial(i) for i in range(ell + 1)]))
@@ -109,7 +103,7 @@ def count_avoiding(ell: int, k: int) -> int:
 
 def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
     """count_avoiding(ell, k) for every 1 <= ell <= ell_max and
-    1 <= k <= k_max, from one shape pass per ell over the shapes with at
+    1 <= k <= k_max, from one hook walk per ell over the shapes with at
     most k_max rows: the cell (ell, k) sums the row counts up to k, and a
     cell k > ell holds them all."""
     if ell_max < 1 or k_max < 1:

@@ -155,6 +155,20 @@ def _least_states(k: int, ell: int) -> int:
     return (math.comb(2 * ell, ell) // (ell + 1) if k >= 2 else 1) + 1
 
 
+def _refuse_up_front(ell, k, node_budget):
+    # the checks a search makes before it starts; they read k only as k >= 1
+    # and k >= 2, so a search at min(k, ell) levels (ell >= 1) makes the
+    # same ones as one at k
+    if ell < 1 or k < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
+    least = _least_states(k, ell)
+    if least > node_budget:
+        raise NodeBudgetExceeded(
+            f"at least {least} states at ell={ell}, k={k}, "
+            f"beyond the budget of {node_budget} states"
+        )
+
+
 def _fill(prev, room):
     # the one sub-diagram of prev whose color counts are exactly `room`, as
     # depths, or None; room is indexed by color mod len(room), which must
@@ -242,14 +256,7 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     padded with empty diagrams, which by the paper's k = 2 theorem number
     Catalan(ell).
     """
-    if ell < 1 or k < 1:
-        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    least = _least_states(k, ell)
-    if least > node_budget:
-        raise NodeBudgetExceeded(
-            f"at least {least} states at ell={ell}, k={k}, "
-            f"beyond the budget of {node_budget} states"
-        )
+    _refuse_up_front(ell, k, node_budget)
     slots = 2 * ell
     budget = gamma(slots, ell, k).m
     visited = [0]

@@ -381,9 +381,8 @@ def shapes_recursive(total, max_rows, cap=None):
     """The partitions of `total` into at most `max_rows` parts, first part
     largest first, each later part at most the one before.
 
-    Pins the iterative `patterns._shapes` in
-    test_patterns::test_shapes_match_recursive_reference, and lists the
-    diagrams of `diagrams_up_to`.
+    Lists the shapes of `squares_by_rows_by_hooks` and the diagrams of
+    `diagrams_up_to`.
     """
     if total == 0:
         yield ()
@@ -394,6 +393,28 @@ def shapes_recursive(total, max_rows, cap=None):
     for first in range(top, -(-total // max_rows) - 1, -1):
         for rest in shapes_recursive(total - first, max_rows - 1, first):
             yield (first,) + rest
+
+
+def squares_by_rows_by_hooks(ell, max_rows):
+    """by_rows[r] = sum of (f^lambda)^2 over the shapes lambda of ell with
+    exactly r rows, for r <= min(max_rows, ell), each f^lambda being ell!
+    over the product of the hook lengths of all cells of lambda, and the
+    shapes those of `shapes_recursive`.
+
+    Pins the per-row split of `patterns._squares_by_rows`, which walks the
+    first-column hooks only and which `count_avoiding_grid` sums by k, in
+    test_patterns::test_squares_by_rows_match_cell_hooks.
+    """
+    by_rows = [0] * (min(max_rows, ell) + 1)
+    for shape in shapes_recursive(ell, max_rows):
+        columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+        hooks = math.prod(
+            part - j + columns[j] - i - 1 for i, part in enumerate(shape) for j in range(part)
+        )
+        f, rem = divmod(math.factorial(ell), hooks)
+        assert rem == 0, shape
+        by_rows[len(shape)] += f * f
+    return by_rows
 
 
 def diagrams_up_to(boxes):

@@ -116,7 +116,7 @@ def test_criterion_2_multiplicity_table():
     assert count_T(10, 3) == 586590
     assert count_T(9, 4) == 261808
     assert count_T(10, 9) == 3628799
-    # every cell again, from one walk and one shape pass per ell
+    # every cell again, from one path walk and one hook walk per ell
     paths, patterns = count_T_grid(10, 9), count_avoiding_grid(10, 9)
     for ell, row in MULT_TABLE.items():
         for k, want in zip(range(3, 10), row):

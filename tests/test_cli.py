@@ -342,6 +342,22 @@ def test_budget_guard_exit_code_during_search(capsys):
         assert out == "", argv
 
 
+def test_up_front_refusal_names_the_k_given(capsys):
+    # the searches run at min(k, ell) levels, and the refusal names the k
+    # the user gave; the table's k is --k-max, and its search at ell = 1
+    # fits in the budget of 2 states
+    for argv, want in (
+        (("multiplicity", "--ell", "3", "--k", "4", "--oracle", "crystal", "--node-budget", "4"),
+         "resource guard: at least 6 states at ell=3, k=4, beyond the budget of 4 states"),
+        (("table", "--oracle", "crystal", "--ell-max", "2", "--k-max", "3", "--node-budget", "2"),
+         "resource guard: at least 3 states at ell=2, k=3, beyond the budget of 2 states"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert want in err, argv
+        assert out == "", argv
+
+
 def test_more_diagrams_than_boxes(capsys):
     # at most ell diagrams of a chain are nonempty, so every route works at
     # min(k, ell); the crystal search over all k levels recursed past the

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kacmax.lattice_paths import LatticePath, count_T
 from kacmax.patterns import (
-    _shapes,
+    _squares_by_rows,
     bjs_path_to_perm,
     bjs_perm_to_path,
     count_avoiding,
@@ -16,7 +16,7 @@ from kacmax.patterns import (
     longest_decreasing,
     parse_perm,
 )
-from oracles import count_avoiding_bruteforce, count_by_patience_sorting, shapes_recursive
+from oracles import count_avoiding_bruteforce, count_by_patience_sorting, squares_by_rows_by_hooks
 
 
 def test_parse_and_format():
@@ -85,11 +85,15 @@ def test_bjs_is_a_bijection_on_small_sizes():
         assert len(images) == catalan
 
 
-def test_shapes_match_recursive_reference():
-    for total in range(21):
-        for max_rows in range(11):
-            got = list(_shapes(total, max_rows))
-            assert got == list(shapes_recursive(total, max_rows)), (total, max_rows)
+def test_squares_by_rows_match_cell_hooks():
+    # count_avoiding_grid sums this per-row split up to each k; the
+    # reference takes every f^lambda from the hooks of all cells of a shape
+    # listed by recursion, not from a walk over first-column hooks
+    fact = [math.factorial(i) for i in range(19)]
+    for ell in range(1, 19):
+        for max_rows in range(1, ell + 2):
+            want = squares_by_rows_by_hooks(ell, max_rows)
+            assert _squares_by_rows(ell, max_rows, fact) == want, (ell, max_rows)
 
 
 def test_count_avoiding_values():
