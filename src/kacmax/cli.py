@@ -5,6 +5,13 @@ Exit codes: 0 on success (and on agreement for the verification commands),
 3 when a search refuses to run or runs past its node budget.  Output is
 deterministic; TSV is the default, JSON is available via --format json.
 
+Every table command returns through one writer, `_report`: it prints the
+JSON object, or the TSV header and rows joined by tabs, and on a failed
+check prints the disagreement line to stderr and returns exit code 2.  The
+TSV cell rule applies to the tables with an `agree` column, the only ones
+that hold bools and values that do not apply: a bool prints as true/false
+and None as an empty cell (JSON prints them as true/false and null).
+
 Each command imports the library modules it runs when it runs, so a
 max-weights job never compiles the multiplicity routes and a multiplicity
 job never compiles the tuple sets.
@@ -16,6 +23,7 @@ import argparse
 import math
 import sys
 from collections import Counter, namedtuple
+from itertools import chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,10 +62,25 @@ def _nonnegative_int(text):
     return value
 
 
-def _emit_json(obj):
-    import json
+def _report(args, header, rows, obj, disagreement=None):
+    # rows are read only for TSV, so a JSON run formats no TSV row; only a
+    # table with an `agree` column holds bools or None, so only its cells go
+    # through the cell rule, and a long weight list costs no per-cell work
+    if args.format == "json":
+        import json
 
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    else:
+        print(*header, sep="\t")
+        if header[-1] == "agree":
+            rows = (["" if v is None else str(v).lower() if v is True or v is False else v
+                     for v in row] for row in rows)
+        for row in rows:
+            print(*row, sep="\t")
+    if disagreement:
+        print(disagreement, file=sys.stderr)
+        return EXIT_DISAGREE
+    return EXIT_OK
 
 
 # -- multiplicity backends ---------------------------------------------------
@@ -135,74 +158,32 @@ def _cmd_max_weights(args):
     from .tuple_sets import format_x
 
     rep = maximal_dominant_weights(args.n, args.k, args.s)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": rep.n,
-                "k": rep.k,
-                "s": rep.s,
-                "count": rep.count,
-                "weights": [list(w.m) for w in rep.weights],
-            }
-        )
-    else:
-        print("m")
-        for w in rep.weights:
-            print(format_x(w.m))
-        print(f"count\t{rep.count}")
-    return EXIT_OK
+    # JSON writes a tuple as an array, so the weights go in as they are
+    ms = [w.m for w in rep.weights]
+    obj = {"n": rep.n, "k": rep.k, "s": rep.s, "count": rep.count, "weights": ms}
+    return _report(args, ("m",), chain(zip(map(format_x, ms)), [("count", rep.count)]), obj)
 
 
 def _cmd_count(args):
     from .maximal_weights import maximal_dominant_weights
 
     rep = maximal_dominant_weights(args.n, args.k, args.s)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": rep.n,
-                "k": rep.k,
-                "s": rep.s,
-                "count": rep.count,
-                "formula": rep.formula_count,
-                "agree": rep.agree,
-            }
-        )
-    else:
-        print("n\tk\ts\tcount\tformula\tagree")
-        formula = "" if rep.formula_count is None else rep.formula_count
-        agree = "" if rep.agree is None else str(rep.agree).lower()
-        print(f"{rep.n}\t{rep.k}\t{rep.s}\t{rep.count}\t{formula}\t{agree}")
-    if rep.agree is False:
-        print(f"count formula disagrees at n={rep.n}, k={rep.k}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    row = (rep.n, rep.k, rep.s, rep.count, rep.formula_count, rep.agree)
+    header = ("n", "k", "s", "count", "formula", "agree")
+    bad = f"count formula disagrees at n={rep.n}, k={rep.k}" if rep.agree is False else None
+    return _report(args, header, [row], dict(zip(header, row)), bad)
 
 
 def _cmd_multiplicity(args):
     names = list(_BACKENDS) if args.check_all else [args.oracle]
     values = {name: _BACKENDS[name].cell(args.ell, args.k, args.node_budget) for name in names}
     agree = len(set(values.values())) == 1
-    if args.format == "json":
-        _emit_json(
-            {
-                "ell": args.ell,
-                "k": args.k,
-                "n": 2 * args.ell,
-                "values": values,
-                "conjectural": sorted(set(names) & _CONJECTURAL),
-                "agree": agree,
-            }
-        )
-    else:
-        print("ell\tk\tbackend\tmultiplicity\tnote")
-        for name in names:
-            note = "conjectural" if name in _CONJECTURAL else ""
-            print(f"{args.ell}\t{args.k}\t{name}\t{values[name]}\t{note}")
-    if not agree:
-        print(f"backends disagree at ell={args.ell}, k={args.k}: {values}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    obj = {"ell": args.ell, "k": args.k, "n": 2 * args.ell, "values": values,
+           "conjectural": sorted(set(names) & _CONJECTURAL), "agree": agree}
+    rows = ((args.ell, args.k, name, values[name], "conjectural" if name in _CONJECTURAL else "")
+            for name in names)
+    bad = None if agree else f"backends disagree at ell={args.ell}, k={args.k}: {values}"
+    return _report(args, ("ell", "k", "backend", "multiplicity", "note"), rows, obj, bad)
 
 
 def _cmd_table(args):
@@ -212,22 +193,11 @@ def _cmd_table(args):
     if args.k_min > args.k_max:
         raise _UsageError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     ks = list(range(args.k_min, args.k_max + 1))
-    ells = list(range(1, args.ell_max + 1))
     grid = _BACKENDS[args.oracle].table(args.ell_max, ks, args.node_budget)
-    if args.format == "json":
-        _emit_json(
-            {
-                "oracle": args.oracle,
-                "conjectural": args.oracle in _CONJECTURAL,
-                "k": ks,
-                "rows": [{"ell": ell, "values": [grid[(ell, k)] for k in ks]} for ell in ells],
-            }
-        )
-    else:
-        print("ell\t" + "\t".join(f"k={k}" for k in ks))
-        for ell in ells:
-            print(str(ell) + "\t" + "\t".join(str(grid[(ell, k)]) for k in ks))
-    return EXIT_OK
+    rows = [[ell] + [grid[(ell, k)] for k in ks] for ell in range(1, args.ell_max + 1)]
+    obj = {"oracle": args.oracle, "conjectural": args.oracle in _CONJECTURAL, "k": ks,
+           "rows": [{"ell": ell, "values": values} for ell, *values in rows]}
+    return _report(args, ["ell"] + [f"k={k}" for k in ks], rows, obj)
 
 
 def _cmd_verify(args):
@@ -255,19 +225,9 @@ def _cmd_verify(args):
         header = ("ell", "k", "paths", "patterns", "agree")
         cells = [(ell, k) for ell in range(1, ell_max + 1) for k in ks]
         rows = [(*c, paths[c], patterns[c], paths[c] == patterns[c]) for c in cells]
-    if args.format == "json":
-        _emit_json(
-            {"conjecture": args.conjecture, "rows": [dict(zip(header, row)) for row in rows]}
-        )
-    else:
-        print("\t".join(header))
-        for *values, agree in rows:
-            print(*values, str(agree).lower(), sep="\t")
+    obj = {"conjecture": args.conjecture, "rows": [dict(zip(header, row)) for row in rows]}
     bad = sum(1 for row in rows if not row[-1])
-    if bad:
-        print(f"{bad} grid cells disagree", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    return _report(args, header, rows, obj, f"{bad} grid cells disagree" if bad else None)
 
 
 def _cmd_bijection(args):
@@ -312,19 +272,16 @@ def _build_parser() -> _Parser:
     def add_format(p):
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
-    p = sub.add_parser("max-weights", help="list the maximal dominant weights")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_max_weights)
-
-    p = sub.add_parser("count", help="count the maximal dominant weights")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_count)
+    for name, func, text in (
+        ("max-weights", _cmd_max_weights, "list the maximal dominant weights"),
+        ("count", _cmd_count, "count the maximal dominant weights"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--s", type=int, default=0)
+        add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("multiplicity", help="weight multiplicity for one (ell, k)")
     p.add_argument("--ell", type=int, required=True)

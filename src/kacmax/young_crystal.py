@@ -210,7 +210,9 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     holds the corner box, of color 0, whose budget is ell.  Padding a chain
     with empty diagrams changes neither its color counts nor membership
     (the wrap pair covers every column), so the search runs over
-    min(k, ell) levels and pads each element with empty diagrams to k.
+    min(k, ell) levels and pads each element with empty diagrams to k.  The
+    membership assert runs on the chain of min(k, ell) diagrams, before the
+    padding, so its cost does not grow with k.
 
     Each diagram is generated as a sub-diagram of the one before it (the
     first as a sub-diagram of a rectangle as deep as the largest budget
@@ -287,9 +289,9 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
         if left == 0:
             # the last diagram filled its room exactly, so the counts sum to
             # the budget
-            ys = tuple(map(diagram, chain)) + padding
+            ys = tuple(map(diagram, chain))
             assert is_crystal_element(ys, 2 * ell), ys
-            results.append(ys)
+            results.append(ys + padding)
             return
         if left == 1:
             last = _fill(prev, room)

@@ -209,6 +209,53 @@ def test_verify_multiplicity(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
+def tsv_cell(value):
+    # the TSV cell rule: a bool prints as true/false, a value that does not
+    # apply (JSON null) as an empty cell, anything else as str() does
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def test_tsv_and_json_carry_the_same_cells(capsys):
+    def both(*argv):
+        code, tsv, _ = run(capsys, *argv)
+        assert code == 0, argv
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        header, *rows = [line.split("\t") for line in lines_of(tsv)]
+        return header, rows, json.loads(out)
+
+    # count and verify: one JSON record per TSV row, keyed by the header
+    for argv in (
+        ("count", "--n", "9", "--k", "4"),
+        ("count", "--n", "5", "--k", "2", "--s", "2"),
+        ("verify", "--conjecture", "count", "--n-max", "5", "--k-max", "3"),
+        ("verify", "--conjecture", "multiplicity", "--ell-max", "4", "--k-max", "3"),
+    ):
+        header, rows, data = both(*argv)
+        records = data["rows"] if argv[0] == "verify" else [data]
+        assert all(set(record) == set(header) for record in records), argv
+        assert rows == [[tsv_cell(record[h]) for h in header] for record in records], argv
+    # at s > 0 there is no formula to check against
+    header, rows, data = both("count", "--n", "5", "--k", "2", "--s", "2")
+    assert (data["formula"], data["agree"]) == (None, None)
+    assert rows[0][-2:] == ["", ""]
+
+    header, rows, data = both("multiplicity", "--ell", "4", "--k", "3", "--check-all")
+    assert header == ["ell", "k", "backend", "multiplicity", "note"]
+    assert data["agree"] is True
+    assert sorted(rows) == sorted(
+        [tsv_cell(data["ell"]), tsv_cell(data["k"]), name, tsv_cell(value),
+         "conjectural" if name in data["conjectural"] else ""]
+        for name, value in data["values"].items()
+    )
+
+    header, rows, data = both("table", "--ell-max", "5", "--k-min", "1", "--k-max", "4")
+    assert header == ["ell"] + [f"k={k}" for k in data["k"]]
+    assert rows == [[tsv_cell(r["ell"]), *map(tsv_cell, r["values"])] for r in data["rows"]]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "max-weights")[0] == 1  # missing --n/--k
     assert run(capsys, "no-such-command")[0] == 1
@@ -433,8 +480,8 @@ def test_commands_load_only_what_they_run():
     # importing the CLI compiles no library module and no dataclasses
     # machinery; each command then loads only the route it runs, and a
     # multiplicity DP loads neither the other DP nor the crystal model;
-    # the permutation bijection loads no crystal model, and TSV output
-    # loads no `json`
+    # the permutation bijection loads no crystal model, and TSV output,
+    # which every run here prints, loads no `json`
     loaded = _modules_loaded()
     assert not loaded & {"dataclasses", "inspect"}
     assert {m for m in loaded if m.startswith("kacmax.")} == {"kacmax.cli"}
@@ -454,9 +501,9 @@ def test_commands_load_only_what_they_run():
         (("verify", "--conjecture", "multiplicity", "--ell-max", "3", "--k-max", "3"),
          weight_lists | crystal),
         (("bijection", "--perm", "1342"), weight_lists | crystal),
-        (("count", "--n", "6", "--k", "3"), {"json"}),
     ):
         loaded = _modules_loaded(*argv)
+        never = never | {"json"}
         assert not loaded & never, (argv, sorted(loaded & never))
         assert not loaded & {"dataclasses", "inspect"}, argv
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +257,17 @@ def test_weight_space_matches_brute_force(ell, k):
     els = enumerate_weight_space(ell, k)
     for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
         assert els == weight_space_by_brute_force(n, k, ell), n
+
+
+def test_weight_space_far_above_ell_checks_before_padding():
+    # the search runs at min(k, ell) levels and asserts membership before it
+    # pads, so k = 10**5 costs about what k = ell does
+    start = time.process_time()
+    els = enumerate_weight_space(4, 10**5)
+    assert time.process_time() - start < 1
+    padding = (ExtendedYoungDiagram(),) * (10**5 - 4)
+    assert els == {ys + padding for ys in enumerate_weight_space(4, 4)}
+    assert len(els) == count_T(4, 4)
 
 
 if __name__ == "__main__":
