@@ -168,6 +168,18 @@ def enumerate_T(ell: int, k: int) -> frozenset:
     k*Lambda_0 - gamma_ell, the same at every rank n >= 2*ell, sent through
     `ytuple_to_paths`.
 
+    The tuples are listed at j = max(2, min(k, ell)) diagrams, checked
+    admissible there, and each is padded with k - j copies of its last path.
+    At k > j an element is a chain of j diagrams padded with empty ones (see
+    `enumerate_weight_space`).  The empty diagrams Y_{j+1}, ..., Y_k leave
+    the cumulative region Y_1 + Y_k + ... + Y_{j+1} = Y_1 unchanged, so
+    `ytuple_to_paths` gives the paths of the j-tuple followed by k - j more
+    copies of its last path, the path below Y_1.  The repeated paths cut
+    empty regions, which pass every admissibility check: 0 is at most the
+    region before and the room left, which the j-tuple's checks leave >= 0,
+    and 0 breaks no unimodality.  So the search and the checks cost the same
+    at every k >= ell; only building the padded tuples grows with k.
+
     The search is `enumerate_weight_space` at its default node budget, so
     large cases raise NodeBudgetExceeded.
     """
@@ -175,9 +187,10 @@ def enumerate_T(ell: int, k: int) -> frozenset:
 
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
-    out = frozenset(ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(ell, k))
-    assert all(map(is_admissible, out)), (ell, k)
-    return out
+    j = max(2, min(k, ell))
+    short = [ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(ell, j)]
+    assert all(map(is_admissible, short)), (ell, j)
+    return frozenset(PathSequence(ell, k, p.paths + p.paths[-1:] * (k - j)) for p in short)
 
 
 def _field_width(ell_max: int) -> int:

@@ -9,9 +9,14 @@ s (with x_0 = x_n = 0): family 5 when P covers s; families 1 and 2 when P ends
 before s, with a drop (1) or a second plateau (2) right after x_s, or s = n-1
 (1); families 3 and 4 are their mirror images, P starting after s.  Families
 1 and 2 are one construction, whose tail after x_s has smallest drop t >= 1
-or t = 0.  The building blocks are segments with concave differences, all
-built drop by drop by one recursive generator, `_falls`, whose recursion
-depth is the segment's number of drops; a rise is a fall read backwards.
+or t = 0.  There are two building blocks, both with concave differences.  A
+fall, `_falls`, is a segment whose drops weakly increase, built drop by drop
+by one recursive generator whose recursion depth is the segment's number of
+drops; family 1's tail is a fall.  A peak, `_peaks`, is a rise (a fall read
+backwards), a level stretch and a fall, and it is the only place the three
+are joined: family 5 is one peak per plateau height, its level stretch
+covering s; the head (x_1, ..., x_s) of families 1 and 2 is a peak that ends
+at x_s; and family 2's tail is a peak that starts level at x_s.
 The largest plateau height is scanned up from the height loop's own start:
 one cost check per height that the loop visits, and one more.
 """
@@ -45,6 +50,23 @@ def _falls(top, bottom, d_min, d_max):
             yield (top,) + rest
 
 
+def _peaks(ell, x1, bottom, d_max, length, cover=0):
+    # tuples of `length` entries that rise from x1 to ell by steps in
+    # [1, x1], stay at ell, and fall to bottom by drops in [1, d_max]; the
+    # level stretch, positions q..r (1-based), covers position `cover`, and
+    # cover = 0 asks nothing; the falls are rebuilt for each rise, and
+    # building them once is the fall-list hoist of ROADMAP item 1
+    for rise in _falls(ell, x1, 1, x1):
+        q = len(rise)
+        if 0 < cover < q:
+            continue
+        rise, lo = rise[::-1], max(q, cover)
+        for fall in _falls(ell, bottom, 1, d_max):
+            r = length + 1 - len(fall)
+            if r >= lo:
+                yield rise + (ell,) * (r - q) + fall[1:]
+
+
 def _m12(s, n, x1, xn1, family):
     # plateau strictly before s, drops in [1, t+1] onto x_s, then a tail
     # whose smallest drop is t: t >= 1 in family 1, t = 0 (a second plateau
@@ -59,15 +81,9 @@ def _m12(s, n, x1, xn1, family):
         else:
             ts = (0,) if xs_ <= xn1 * m else ()
         for t in ts:
-            heads = []
             lo = max(x1, xs_ + 1)
-            for ell in range(lo, _last_fit(lo, x1, t + 1, xs_, s) + 1):
-                for rise in _falls(ell, x1, 1, x1):
-                    rise = rise[::-1]
-                    for d1 in _falls(ell, xs_, 1, t + 1):
-                        q = s - len(d1) + 1
-                        if q >= len(rise):
-                            heads.append(rise + (ell,) * (q - len(rise)) + d1[1:])
+            heads = [h for ell in range(lo, _last_fit(lo, x1, t + 1, xs_, s) + 1)
+                     for h in _peaks(ell, x1, xs_, t + 1, s)]
             if not heads:
                 continue
             if m == 0:
@@ -76,8 +92,7 @@ def _m12(s, n, x1, xn1, family):
                 tails = [(xs_,) + d2 for d2 in _falls(xs_ - t, xn1, t, xn1)
                          if len(d2) == m]
             else:
-                tails = [(xs_,) * (m + 1 - len(d2)) + d2
-                         for d2 in _falls(xs_, xn1, 1, xn1) if len(d2) <= m]
+                tails = list(_peaks(xs_, xs_, xn1, xn1, m + 1, 2))
             out.update(h + d2[1:] for h in heads for d2 in tails)
     return out
 
@@ -90,19 +105,7 @@ def _m5(s, n, x1, xn1):
         ell_hi = _last_fit(lo, x1, xn1, 0, n) if x1 and xn1 else lo
     else:
         ell_hi = min(s * x1, (n - s) * xn1)
-    out = set()
-    for ell5 in range(lo, ell_hi + 1):
-        for rise in _falls(ell5, x1, 1, x1):
-            rise = rise[::-1]
-            q = len(rise)
-            if s > 0 and q > s:
-                continue
-            for fall in _falls(ell5, xn1, 1, xn1):
-                r = n - len(fall)
-                if r < q or (s > 0 and r < s):
-                    continue
-                out.add(rise + (ell5,) * (r - q) + fall[1:])
-    return out
+    return {x for ell5 in range(lo, ell_hi + 1) for x in _peaks(ell5, x1, xn1, xn1, n - 1, s)}
 
 
 def enumerate_M(family: int, s: int, n: int, x1: int, xn1: int) -> frozenset:

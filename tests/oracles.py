@@ -307,6 +307,89 @@ def count_T_grid_by_tuples(ell_max, k_max):
     return grid
 
 
+def mult_by_freudenthal(n, k, m):
+    """The multiplicity of k*Lambda_0 - beta, beta = sum_i m_i alpha_i, in the
+    irreducible module L(k*Lambda_0) of affine sl(n), by Freudenthal's
+    formula (Kac, Infinite-Dimensional Lie Algebras, ch. 11): with
+    lam = k*Lambda_0 and mu = lam - beta,
+
+        ((lam+rho|lam+rho) - (mu+rho|mu+rho)) mult(mu)
+            = 2 * sum over alpha > 0, j >= 1 of
+                  mult(alpha) * (mu + j*alpha|alpha) * mult(mu + j*alpha).
+
+    The positive roots are the real roots p*delta + alpha_I, p >= 0, with
+    alpha_I the sum of the simple roots over a proper cyclic interval I of
+    the nodes, each of multiplicity 1, and the imaginary roots p*delta,
+    p >= 1, of multiplicity n - 1; delta = alpha_0 + ... + alpha_{n-1}.
+    The form is the affine Cartan matrix on the simple roots (whose entry
+    between the two nodes of n = 2 is -2, since both neighbours of a node are
+    the other node), with (Lambda_0|alpha_i) = [i = 0] and (rho|alpha_i) = 1;
+    so (delta|alpha_i) = 0, (alpha_I|alpha_I) = 2, and the left factor is
+    2k*m_0 + 2*sum(m) - (beta|beta).  Multiplicities are Weyl invariant, so
+    beta is first moved to its dominant conjugate, reflecting at each node
+    where mu pairs negatively; once a coordinate of beta goes negative, mu
+    is not below lam and the multiplicity is 0.  The left factor is then
+    positive for beta != 0, each division is asserted exact, and dominant
+    betas are memoized.
+
+    Only the Cartan matrix and the roots enter, no model of the module, so
+    it checks the paper's multiplicity theorem, and its rank independence,
+    against the Lie algebra itself: count_T in
+    test_lattice_paths::test_count_T_matches_freudenthal.
+    """
+    intervals = [
+        [(a + i) % n for i in range(length)] for a in range(n) for length in range(1, n)
+    ]
+    memo = {}
+
+    def dominant(beta):
+        b = list(beta)
+        moved = True
+        while moved:
+            moved = False
+            for i in range(n):
+                c = (k if i == 0 else 0) - 2 * b[i] + b[i - 1] + b[(i + 1) % n]
+                if c < 0:  # reflect at node i: beta -> beta + <mu, h_i> alpha_i
+                    b[i] += c
+                    if b[i] < 0:
+                        return None
+                    moved = True
+        return tuple(b)
+
+    def mult(beta):
+        b = dominant(beta)
+        if b is None:
+            return 0
+        if b not in memo:
+            memo[b] = from_formula(b) if any(b) else 1
+        return memo[b]
+
+    def from_formula(b):
+        form = [2 * b[i] - b[i - 1] - b[(i + 1) % n] for i in range(n)]  # (beta|alpha_i)
+        total = 0
+        for nodes in intervals:
+            inside = set(nodes)
+            pair = sum(form[i] for i in nodes)  # (beta|alpha_I) = (beta|p*delta + alpha_I)
+            for p in itertools.count():
+                alpha = [p + (i in inside) for i in range(n)]
+                reach = min(c // a for c, a in zip(b, alpha) if a)
+                if reach == 0:
+                    break
+                for j in range(1, reach + 1):
+                    # (mu + j*alpha|alpha) = (lam|alpha) - (beta|alpha) + 2j
+                    rest = tuple(c - j * a for c, a in zip(b, alpha))
+                    total += (k * alpha[0] - pair + 2 * j) * mult(rest)
+        for p in range(1, min(b) + 1):
+            for j in range(1, min(b) // p + 1):
+                # (mu + j*p*delta|p*delta) = (lam|p*delta) = k*p
+                total += (n - 1) * k * p * mult(tuple(c - j * p for c in b))
+        left = 2 * k * b[0] + 2 * sum(b) - sum(x * y for x, y in zip(b, form))
+        assert left > 0 and 2 * total % left == 0, (n, k, b)
+        return 2 * total // left
+
+    return mult(tuple(m))
+
+
 def count_avoiding_bruteforce(ell: int, k: int) -> int:
     """Same count as `count_avoiding` by scanning every permutation;
     guarded to ell <= 10.

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacmax.affine_core import gamma
 from kacmax.lattice_paths import (
     LatticePath,
     PathSequence,
@@ -19,7 +20,7 @@ from kacmax.lattice_paths import (
     _path_below,
 )
 from kacmax.young_crystal import NodeBudgetExceeded, color_counts, is_crystal_element
-from oracles import count_T_grid_by_tuples
+from oracles import count_T_grid_by_tuples, mult_by_freudenthal
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -95,6 +96,30 @@ def test_enumeration_matches_count():
     for ell in range(1, 5):
         for k in range(2, 5):
             assert len(enumerate_T(ell, k)) == count_T(ell, k) == grid[ell, k], (ell, k)
+
+
+def test_enumeration_pads_at_huge_k():
+    # at k > ell the tuples are listed at ell diagrams and padded with copies
+    # of the last path, so a huge k costs no more than building them
+    start = time.process_time()
+    got = enumerate_T(4, 10**4)
+    assert time.process_time() - start < 1
+    short = enumerate_T(4, 4)
+    assert got == {PathSequence(4, 10**4, p.paths + p.paths[-1:] * (10**4 - 4)) for p in short}
+    assert len(got) == 24
+
+
+def test_count_T_matches_freudenthal():
+    # Freudenthal's formula reads only the Cartan matrix and the roots; the
+    # weight k*Lambda_0 - gamma_ell has count_T(ell, k) as its multiplicity
+    # at every rank n >= 2*ell
+    start = time.process_time()
+    for ell in range(1, 7):
+        for k in range(1, 5):
+            for n in (2 * ell, 2 * ell + 1, 2 * ell + 3):
+                got = mult_by_freudenthal(n, k, gamma(n, ell, k).m)
+                assert got == count_T(ell, k), (ell, k, n)
+    assert time.process_time() - start < 5
 
 
 def _restricted(grid, ell_max, k_max):

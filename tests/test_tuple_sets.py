@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax.affine_core import is_dominant, weight_from_x
-from kacmax.tuple_sets import _falls, _last_fit, enumerate_M, format_x
+from kacmax.tuple_sets import _falls, _last_fit, _peaks, enumerate_M, format_x
 from oracles import enumerate_S_bruteforce, falls_by_definition
 
 # family-5 columns of the level-3 boundary table, frozen by hand
@@ -155,6 +156,32 @@ def test_falls_match_definition():
                     assert len(got) == len(set(got)), (top, bottom, d_min, d_max)
                     want = falls_by_definition(top, bottom, d_min, d_max)
                     assert set(got) == want, (top, bottom, d_min, d_max)
+
+
+def test_peaks_match_definition():
+    # a rise (a fall read backwards) to ell, w >= 1 entries at ell, then a
+    # fall, kept when its length fits and its level stretch, positions
+    # q..q+w-1, holds the cover position (any position when cover = 0)
+    by_definition = functools.cache(
+        lambda top, bottom, d_max: falls_by_definition(top, bottom, 1, d_max)
+    )
+    for ell in range(6):
+        for x1 in range(5):
+            for bottom in range(5):
+                for d_max in range(4):
+                    for length in range(1, 8):
+                        for cover in range(length + 1):
+                            want = set()
+                            for rise in by_definition(ell, x1, x1):
+                                for fall in by_definition(ell, bottom, d_max):
+                                    q = len(rise)
+                                    w = length + 2 - q - len(fall)
+                                    if w >= 1 and (cover == 0 or q <= cover < q + w):
+                                        want.add(rise[:0:-1] + (ell,) * w + fall[1:])
+                            got = list(_peaks(ell, x1, bottom, d_max, length, cover))
+                            cell = (ell, x1, bottom, d_max, length, cover)
+                            assert len(got) == len(set(got)), cell
+                            assert set(got) == want, cell
 
 
 @pytest.mark.xfail(
