@@ -11,14 +11,14 @@ before s, with a drop (1) or a second plateau (2) right after x_s, or s = n-1
 1 and 2 are one construction, whose tail after x_s has smallest drop t >= 1
 or t = 0.  There are two building blocks, both with concave differences.  A
 fall, `_falls`, is a segment whose drops weakly increase, built drop by drop
-by one recursive generator whose recursion depth is the segment's number of
-drops; family 1's tail is a fall.  A peak, `_peaks`, is a rise (a fall read
-backwards), a level stretch and a fall, and it is the only place the three
-are joined: family 5 is one peak per plateau height, its level stretch
-covering s; the head (x_1, ..., x_s) of families 1 and 2 is a peak that ends
-at x_s; and family 2's tail is a peak that starts level at x_s.
-The largest plateau height is scanned up from the height loop's own start:
-one cost check per height that the loop visits, and one more.
+by one iterative depth-first generator, so a fall of any number of drops
+needs no recursion; family 1's tail is a fall.  A peak, `_peaks`, is a rise
+(a fall read backwards), a level stretch and a fall, and it is the only
+place the three are joined: family 5 is one peak per plateau height, its
+level stretch covering s; the head (x_1, ..., x_s) of families 1 and 2 is a
+peak that ends at x_s; and family 2's tail is a peak that starts level at
+x_s.  The largest plateau height is scanned up from the height loop's own
+start: one cost check per height that the loop visits, and one more.
 """
 
 from __future__ import annotations
@@ -40,14 +40,27 @@ def _last_fit(ell, c, d, e, f):
 
 def _falls(top, bottom, d_min, d_max):
     # tuples (top, ..., bottom) whose drops read left to right are weakly
-    # increasing and lie in [d_min, d_max], built drop by drop; d_min >= 1,
-    # or a zero drop would recurse forever; read backwards, a fall from top
-    # to start with drops in [1, d_max] is a rise from start to top
+    # increasing and lie in [d_min, d_max], built drop by drop, depth first
+    # over one list of heights and a stack of the drops each height has left
+    # to try, in the order of a recursion over the next drop; d_min >= 1,
+    # since a drop of 0 marks a height with none left; read backwards, a
+    # fall from top to start with drops in [1, d_max] is a rise from start
+    # to top
+    heights = [top]
+    drops = [iter(range(d_min, min(d_max, top - bottom) + 1))]
     if top == bottom:
         yield (top,)
-    for d in range(d_min, min(d_max, top - bottom) + 1):
-        for rest in _falls(top - d, bottom, d, d_max):
-            yield (top,) + rest
+    while drops:
+        d = next(drops[-1], 0)
+        if d:
+            h = heights[-1] - d
+            heights.append(h)
+            drops.append(iter(range(d, min(d_max, h - bottom) + 1)))
+            if h == bottom:
+                yield tuple(heights)
+        else:
+            heights.pop()
+            drops.pop()
 
 
 def _peaks(ell, x1, bottom, d_max, length, cover=0):

@@ -14,6 +14,7 @@ the search takes no rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from operator import gt, or_, sub
@@ -190,6 +191,25 @@ def _fill(prev, room):
     return None if any(left) else tuple(depths)
 
 
+def _lower_bound(room, left, ell):
+    # the smallest diagram holding at least ceil(room[c] / left) boxes of
+    # each color c, as depths padded with zeros to ell + 1 columns; room is
+    # indexed by color mod its length, 2*ell, and is 0 at the colors outside
+    # (-ell, ell); the v-th box of color c sits at column c + v - 1, row v
+    # for c > 0, and at column v - 1, row v - c for c <= 0
+    low = [0] * (ell + 1)
+    for c in range(1 - ell, ell):
+        v = -(-room[c] // left)
+        if v:
+            i, r = (c + v - 1, v) if c > 0 else (v - 1, v - c)
+            if low[i] < r:
+                low[i] = r
+    for i in range(ell - 1, -1, -1):  # the suffix maximum
+        if low[i] < low[i + 1]:
+            low[i] = low[i + 1]
+    return low
+
+
 def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozenset:
     """All crystal elements of weight k*(node-0 fundamental) minus the
     staircase gamma_ell: containment chains of k diagrams whose color counts
@@ -214,23 +234,22 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     membership assert runs on the chain of min(k, ell) diagrams, before the
     padding, so its cost does not grow with k.
 
-    Each diagram is generated as a sub-diagram of the one before it (the
-    first as a sub-diagram of a rectangle as deep as the largest budget
-    entry), column by column; a column stops as soon as one more box would
-    push its color past the room the chain has left.  Color counts are
-    lists of 2*ell slots indexed by color mod 2*ell.  A sub-diagram is taken
-    when each of the `left` diagrams still to come can hold at most its own
-    count of every color, that is room[c] <= left * counts[c] for every c.
-    Each step keeps the number of colors that break this ("short" colors),
-    and a box added or removed updates it in constant time, so the take test
-    is `short == 0`.
-
-    Dead branches are cut.  With column i settled at depth d, at most its
-    cap, the columns to its right are at most d deep, so they hold colors
-    >= i + 2 - d only; the colors i + 1 - d ... i + 1 - cap of rows d ... cap
-    of column i get no further box from them.  If one of those colors is
-    short, no sub-diagram to the right is ever taken, so the search skips
-    the columns to the right and goes on deepening column i.
+    Each diagram but the last is searched for in an interval: it is a
+    sub-diagram of the one before it (the first, of a rectangle as deep as
+    the largest budget entry), and it contains a lower-bound diagram `low`.
+    Color counts are lists of 2*ell slots indexed by color mod 2*ell.  The
+    `left` diagrams still to come are nested, so each holds at most as many
+    boxes of color c as the next one, and between them they use up room[c];
+    so the next one holds at least ceil(room[c] / left) boxes of color c.
+    The boxes of one color fill a prefix of their diagonal, so a diagram
+    meets every such bound exactly when it holds the ceil(room[c] / left)-th
+    box of each diagonal, that is, when it contains `low`, the smallest
+    diagram holding those boxes.  The search builds the interval column by
+    column.  A column stops as soon as one more box would push its color
+    past the room the chain has left; the search moves on to column i + 1
+    only from depths of column i at least low's, since no column to the
+    right adds a box to column i; and it takes a sub-diagram once it spans
+    low's nonzero columns.
 
     The last diagram is built, not searched for.  It must use up the room
     exactly, and a diagram is fixed by its color counts (the boxes of one
@@ -268,19 +287,9 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
         if visited[0] > node_budget:
             raise NodeBudgetExceeded(f"search exceeded {node_budget} states")
 
-    diagrams: dict[tuple[int, ...], ExtendedYoungDiagram] = {}
-
-    def diagram(depths):
-        y = diagrams.get(depths)
-        if y is None:
-            y = diagrams[depths] = ExtendedYoungDiagram.from_depths(depths)
-        return y
-
+    diagram = functools.cache(ExtendedYoungDiagram.from_depths)
     chain: list[tuple[int, ...]] = []
     results = []
-    # the colors of rows 1..ell of columns 0..ell-1; column ell would start
-    # with color ell, whose budget is 0, so no column from ell on holds a box
-    column_colors = [[(i - r) % slots for r in range(ell)] for i in range(ell)]
 
     def extend(prev, room, left):
         # chain holds levels - left diagrams leaving `room` per color; the next
@@ -300,53 +309,36 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
                 extend(last, None, 0)
                 chain.pop()
             return
-        # the remaining left-1 diagrams are contained in the next one, so
-        # each holds at most v of a color: room - v <= (left-1)*v, that is
-        # v >= need[c]; a color is short while its count is below need
-        need = [-(-r // left) for r in room]
+        low = _lower_bound(room, left, ell)
         counts = [0] * slots
         depths: list[int] = []
-        short = slots - need.count(0)
-        width = len(prev)
 
         def columns(i):
-            # depths holds columns 0..i-1 of a sub-diagram of prev; take it,
-            # then deepen column i one box at a time
-            nonlocal short
+            # depths holds columns 0..i-1 of a sub-diagram of prev, each at
+            # least as deep as low's; take it once it spans low, then deepen
+            # column i one box at a time; i <= ell, since column ell would
+            # start with color ell, whose budget is 0, and a color c in
+            # (-ell, ell] indexes room and counts as itself, mod 2*ell
             tick()
-            if not short:
+            if not low[i]:
                 chain.append(tuple(depths))
                 extend(chain[-1], tuple(map(sub, room, counts)), left - 1)
                 chain.pop()
-            if i == width or counts[i % slots] == room[i % slots]:
-                return  # column i can take no box
+            if i == len(prev):
+                return  # prev has no column i
             cap = min(depths[-1], prev[i]) if depths else prev[0]
-            below = column_colors[i][:cap]  # colors of rows 1..cap
-            # how many colors of rows max(d, 1)..cap of column i are short;
-            # no column to the right reaches them
-            pending = sum([counts[c] < need[c] for c in below])
             d = 0
             while d < cap:
-                c = below[d]
-                v = counts[c]
-                if v == room[c]:
+                c = i - d
+                if counts[c] == room[c]:
                     break  # deeper boxes include this one
-                v += 1
-                counts[c] = v
-                if v == need[c]:
-                    short -= 1
-                    pending -= 1
-                if d:
-                    c = below[d - 1]
-                    pending -= counts[c] < need[c]
+                counts[c] += 1
                 d += 1
-                if not pending:
+                if d >= low[i]:
                     depths.append(d)
                     columns(i + 1)
                     depths.pop()
-            for c in below[:d]:
-                if counts[c] == need[c]:
-                    short += 1
+            for c in range(i - d + 1, i + 1):
                 counts[c] -= 1
 
         columns(0)

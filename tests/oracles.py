@@ -113,6 +113,52 @@ def kac_maximal_weights(n, k, s):
     return sorted(out)
 
 
+def mobius(m):
+    """The Moebius function of m >= 1, by trial division: 0 when a square
+    divides m, else (-1) to the number of prime factors."""
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def count_by_residues(n, k, s):
+    """The number of maximal dominant weights of V((k-1)L0 + Ls) at every s,
+    (1/n) * sum over d | gcd(n, k) of c_d(s) * C(n/d + k/d - 1, k/d), with
+    Ramanujan's sum c_d(s) = sum over e | gcd(d, s) of mu(d/e) * e.
+
+    By Kac's theorem (see `kac_maximal_weights`) the weights are the
+    k-multisets of Z/n with sum s mod n.  Filter them by the n-th roots of
+    unity w: the count is (1/n) * sum_j w^(-js) [t^k] prod_a 1/(1 - w^(ja) t).
+    When w^j has order d, the product runs over each d-th root of unity n/d
+    times, so it is (1 - t^d)^(-n/d), whose t^k coefficient is
+    C(n/d + k/d - 1, k/d) when d | k and 0 otherwise.  Summing w^(-js) over
+    the j of order d sums the s-th powers of the primitive d-th roots of
+    unity, which is c_d(s).  At s = 0, c_d(0) = phi(d), and term by term
+    C(n/d + k/d - 1, k/d) / n = C((n+k)/d, k/d) / (n+k), the paper's
+    necklace formula `count_formula`.
+
+    Pins `maximal_dominant_weights(n, k, s).count` at every s in
+    test_maximal_weights::test_count_matches_residue_formula_at_every_s.
+    """
+    check_params(n, k, s=s)
+    g = math.gcd(n, k)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d == 0:
+            h = math.gcd(d, s)
+            ramanujan = sum(mobius(d // e) * e for e in range(1, h + 1) if h % e == 0)
+            total += ramanujan * math.comb(n // d + k // d - 1, k // d)
+    q, r = divmod(total, n)
+    assert r == 0, (n, k, s)
+    return q
+
+
 def u_closed_form(n: int) -> int:
     """Level-3, s = 0 count as a quadratic in n (with a shift when 3 | n).
 

@@ -10,7 +10,9 @@ from kacmax.maximal_weights import (
     verify_count_conjecture,
 )
 from oracles import (
+    count_by_residues,
     kac_maximal_weights,
+    mobius,
     qbinomial_columns_mod,
     u_closed_form,
     u_recursive,
@@ -70,6 +72,25 @@ def test_weights_match_kac_theorem_at_every_s():
                 assert [w.m for w in report.weights] == kac_maximal_weights(n, k, s), (n, k, s)
                 assert report.count == columns[k][s], (n, k, s)
     assert time.time() - t0 < 30.0
+
+
+def test_mobius_values():
+    assert [mobius(m) for m in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_count_matches_residue_formula_at_every_s():
+    # the roots-of-unity count of Kac's theorem, a closed form at every s,
+    # on all 308 cells 2 <= n <= 12, 2 <= k <= 5; at s = 0 it is the
+    # paper's necklace formula, read term by term another way
+    cells = 0
+    for n in range(2, 13):
+        for k in range(2, 6):
+            assert count_by_residues(n, k, 0) == count_formula(n, k), (n, k)
+            for s in range(n):
+                want = count_by_residues(n, k, s)
+                assert maximal_dominant_weights(n, k, s).count == want, (n, k, s)
+                cells += 1
+    assert cells == 308
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=8))

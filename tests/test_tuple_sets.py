@@ -184,14 +184,9 @@ def test_peaks_match_definition():
                             assert set(got) == want, cell
 
 
-@pytest.mark.xfail(
-    raises=RecursionError,
-    strict=True,
-    reason="_falls recurses once per drop, so `kacmax count --n 2100 --k 2` "
-    "dies; the iterative version waits for ROADMAP item 1a, and when it lands "
-    "this becomes a plain test",
-)
 def test_falls_of_many_drops():
+    # one fall of 2100 drops, far past the interpreter's recursion limit;
+    # `kacmax count --n 2100 --k 2` builds it
     assert tuple(_falls(2100, 0, 1, 1)) == (tuple(range(2100, -1, -1)),)
 
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacmax import young_crystal
+from kacmax.affine_core import gamma
 from kacmax.lattice_paths import count_T
 from kacmax.young_crystal import (
     ExtendedYoungDiagram,
     NodeBudgetExceeded,
+    _lower_bound,
     color_counts,
     diagram_weight,
     enumerate_weight_space,
@@ -205,6 +207,46 @@ def test_search_visits_pinned_states(ell, k, states, size):
     assert len(enumerate_weight_space(ell, k, node_budget=states)) == size
     with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {states - 1} states"):
         enumerate_weight_space(ell, k, node_budget=states - 1)
+
+
+def test_lower_bound_is_the_smallest_diagram_meeting_the_need():
+    # `_lower_bound` against its definition: of the diagrams of the ell x ell
+    # corner holding at least ceil(room[c] / left) boxes of every color c,
+    # the one with fewest boxes, which every other one contains; the rooms
+    # are those the search extends after a chain of one or two nested
+    # diagrams that fit the budget, at every left 1..4
+    edges = {"no need": 0, "wider than prev": 0}
+    for ell in range(1, 5):
+        corner = [
+            (y, color_counts(y))
+            for y in diagrams_up_to(ell * ell)
+            if len(y.entries) <= ell and y.entry(0) >= -ell
+        ]
+
+        def after(room, prev):
+            # the chains one diagram longer, as (room left, last diagram)
+            for y, counts in corner:
+                rest = list(room)
+                for c, v in counts.items():
+                    rest[c] -= v
+                inside = prev is None or all(y.entry(i) >= prev.entry(i) for i in range(ell))
+                if inside and min(rest) >= 0:
+                    yield rest, y
+
+        ones = list(after(gamma(2 * ell, ell, 1).m, None))
+        for room, prev in ones + [two for one in ones for two in after(*one)]:
+            for left in range(1, 5):
+                fits = [
+                    y for y, counts in corner
+                    if all(counts.get(c, 0) >= -(-room[c] // left) for c in range(1 - ell, ell))
+                ]
+                low = min(fits, key=lambda y: y.boxes)
+                assert all(y.entry(i) <= low.entry(i) for y in fits for i in range(ell))
+                want = list(low.depths) + [0] * (ell + 1 - len(low.depths))
+                assert _lower_bound(room, left, ell) == want, (room, left)
+                edges["no need"] += not any(room)
+                edges["wider than prev"] += len(low.depths) > len(prev.depths)
+    assert all(edges.values()), edges
 
 
 @pytest.mark.parametrize("ell", range(1, 7))
