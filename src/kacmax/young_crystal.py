@@ -101,26 +101,25 @@ def diagram_weight(y: ExtendedYoungDiagram, n: int) -> AlphaExpansion:
 def from_color_counts(counts: dict[int, int]) -> ExtendedYoungDiagram:
     """The unique diagram whose color counts are `counts`, or ValueError.
 
-    The boxes of one color fill a prefix of one diagonal, so counts fix at
-    most one diagram.  A diagram of T boxes lies in the T x T square, and
-    `_fill` builds the one sub-diagram of it with exactly these counts (see
-    `enumerate_weight_space`).  It builds colors in (-T, T) only, so every
-    color in play lies within T + max|c| of 0, and a room list of
-    2 * (T + max|c|) + 1 slots aliases no two of them.
+    The boxes of one color fill a prefix of their diagonal, so a diagram
+    with these counts contains `_lower_bound`'s diagram `low`, which holds
+    at least counts[c] boxes of each color c; the two are equal exactly
+    when their box totals match.  The v-th box of color c sits in column
+    max(c, 0) + v - 1, so ell = max(|c| + v) over the nonzero counts keeps
+    every column index at most ell and every color inside (-ell, ell).
     """
     for c, cnt in counts.items():
         if cnt < 0:
             raise ValueError(f"color {c} has negative count {cnt}")
-    boxes = sum(counts.values())
-    slots = 2 * (boxes + max((abs(c) for c, v in counts.items() if v), default=0)) + 1
-    room = [0] * slots
-    for c, cnt in counts.items():
-        if cnt:
-            room[c % slots] = cnt
-    depths = _fill((boxes,) * boxes, room)
-    if depths is None:
+    ell = max((abs(c) + v for c, v in counts.items() if v), default=0)
+    room = [0] * (2 * ell)
+    for c, v in counts.items():
+        if v:
+            room[c] = v
+    low = _lower_bound(room, 1, ell)
+    if sum(low) != sum(room):
         raise ValueError(f"no diagram has the color counts {dict(sorted(counts.items()))}")
-    return ExtendedYoungDiagram.from_depths(depths)
+    return ExtendedYoungDiagram.from_depths(low)
 
 
 def is_crystal_element(diagrams, n: int) -> bool:
@@ -170,43 +169,32 @@ def _refuse_up_front(ell, k, node_budget):
         )
 
 
-def _fill(prev, room):
-    # the one sub-diagram of prev whose color counts are exactly `room`, as
-    # depths, or None; room is indexed by color mod len(room), which must
-    # alias no two colors the sub-diagrams of prev can hold; each column
-    # takes the colors i, i-1, ... while room allows, at most as deep as
-    # prev and as the column before
-    slots = len(room)
-    left = list(room)
-    depths: list[int] = []
-    for i, top in enumerate(prev):
-        cap = min(depths[-1], top) if depths else top
-        d = 0
-        while d < cap and left[(i - d) % slots]:
-            left[(i - d) % slots] -= 1
-            d += 1
-        if not d:
-            break
-        depths.append(d)
-    return None if any(left) else tuple(depths)
-
-
 def _lower_bound(room, left, ell):
     # the smallest diagram holding at least ceil(room[c] / left) boxes of
     # each color c, as depths padded with zeros to ell + 1 columns; room is
     # indexed by color mod its length, 2*ell, and is 0 at the colors outside
     # (-ell, ell); the v-th box of color c sits at column c + v - 1, row v
-    # for c > 0, and at column v - 1, row v - c for c <= 0
+    # for c >= 0, and at column v - 1, row v - c for c < 0; a lower color
+    # sits deeper in the same column, so the colors are read from high to
+    # low and the last box written to a column is its deepest
     low = [0] * (ell + 1)
-    for c in range(1 - ell, ell):
-        v = -(-room[c] // left)
-        if v:
-            i, r = (c + v - 1, v) if c > 0 else (v - 1, v - c)
-            if low[i] < r:
-                low[i] = r
+    c = ell - 1
+    for x in room[c::-1]:  # the colors ell - 1, ..., 1, 0
+        if x:
+            v = -(-x // left)
+            low[c + v - 1] = v
+        c -= 1
+    for x in room[:ell:-1]:  # the colors -1, -2, ..., 1 - ell
+        if x:
+            v = -(-x // left)
+            low[v - 1] = v - c
+        c -= 1
+    d = 0
     for i in range(ell - 1, -1, -1):  # the suffix maximum
-        if low[i] < low[i + 1]:
-            low[i] = low[i + 1]
+        if low[i] < d:
+            low[i] = d
+        else:
+            d = low[i]
     return low
 
 
@@ -251,18 +239,14 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     right adds a box to column i; and it takes a sub-diagram once it spans
     low's nonzero columns.
 
-    The last diagram is built, not searched for.  It must use up the room
-    exactly, and a diagram is fixed by its color counts (the boxes of one
-    color fill a prefix of one diagonal), so at most one diagram Y fits.
-    Column by column, take the colors i, i-1, ... while room allows, at most
-    as deep as the diagram before and as column i-1.  If Y exists, this
-    builds Y: with columns 0..i-1 equal to Y's, column i reaches Y's depth
-    D_i, since Y lies in both caps and each color of Y's column i is unused
-    (a color has at most one box per column).  It stops there: a cap is
-    hit, or the color i - D_i of the box below has no room left, because
-    every box of that color in Y lies in a column < i (in a column j > i it
-    would sit in row j - i + D_i + 1 > D_j).  The built diagram is kept only
-    when it uses up all of the room.
+    The last diagram must use up the room exactly.  Any diagram that does
+    contains low, which at left = 1 holds at least room[c] boxes of each
+    color c, so the two are equal exactly when their box totals match, and
+    the search keeps low then.  It needs no containment test: the diagram
+    before holds at least ceil(r/2) of the r boxes of each color that the
+    two had left, so at least as many as low, and a diagram with at least
+    as many boxes on every diagonal contains the other.  At k = 1 the
+    diagram before is the root rectangle, which contains the corner.
 
     A search builds one ExtendedYoungDiagram per distinct depths tuple that
     reaches an element, at most C(2*ell, ell) objects, the diagrams of the
@@ -302,14 +286,15 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
             assert is_crystal_element(ys, 2 * ell), ys
             results.append(ys + padding)
             return
+        low = _lower_bound(room, left, ell)
         if left == 1:
-            last = _fill(prev, room)
-            if last is not None:
-                chain.append(last)
-                extend(last, None, 0)
+            # the last diagram is low, or there is none; its zero columns are
+            # cut, as at every other level, so it shares their cached diagram
+            if sum(low) == sum(room):
+                chain.append(tuple(low[:low.index(0)]))
+                extend(None, None, 0)
                 chain.pop()
             return
-        low = _lower_bound(room, left, ell)
         counts = [0] * slots
         depths: list[int] = []
 

@@ -566,7 +566,8 @@ def from_color_counts_by_rows(counts):
     i - c + 1 of column i; the counts are realizable when every column is a
     gapless prefix of rows and the depths weakly decrease.
 
-    Pins `from_color_counts`, the crystal search's last-diagram builder, in
+    Pins `from_color_counts`, the lower-bound diagram and box-total check
+    the crystal search makes at its last level, in
     test_young_crystal::test_from_color_counts_matches_the_row_builder.
     """
     columns = {}

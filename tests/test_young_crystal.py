@@ -64,6 +64,12 @@ def test_from_color_counts_rebuilds():
     assert from_color_counts({}) == ExtendedYoungDiagram.from_entries(())
     # zero counts, near or far, change nothing
     assert from_color_counts({0: 1, -40: 0, 7: 0}) == ExtendedYoungDiagram.from_entries((-1,))
+    # a 30-deep column and a 30-long row hold the colors -29 and 29, at the
+    # edges of the color window their counts size
+    column = ExtendedYoungDiagram.from_depths((30,))
+    row = ExtendedYoungDiagram.from_depths((1,) * 30)
+    assert from_color_counts({-c: 1 for c in range(30)}) == column
+    assert from_color_counts({c: 1 for c in range(30)}) == row
 
 
 def test_from_color_counts_rejects_gaps():
@@ -73,6 +79,11 @@ def test_from_color_counts_rejects_gaps():
     # column depths must weakly decrease left to right
     with pytest.raises(ValueError):
         from_color_counts({0: 1, 1: 2, 2: 1})
+    # lone far colors raise ValueError, not an IndexError from outside the
+    # color window their counts size
+    for counts in ({40: 1}, {-40: 2}, {0: 1, 9: 3}):
+        with pytest.raises(ValueError, match="no diagram has"):
+            from_color_counts(counts)
     with pytest.raises(ValueError, match="negative count"):
         from_color_counts({0: -1})
     with pytest.raises(ValueError, match="negative count"):
@@ -200,7 +211,7 @@ def test_node_budget_guard_fires_during_search():
 
 @pytest.mark.parametrize(
     "ell, k, states, size",
-    [(6, 4, 12761, 694), (7, 3, 41917, 2761)],
+    [(6, 2, 462, 132), (7, 2, 1485, 429), (6, 4, 12761, 694), (7, 3, 41917, 2761)],
 )
 def test_search_visits_pinned_states(ell, k, states, size):
     # the exact state count: the search completes within it and not below
