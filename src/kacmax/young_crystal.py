@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from operator import gt, or_, sub
+from operator import gt, or_
 
 from .affine_core import AlphaExpansion, check_params, gamma
 
@@ -107,19 +107,25 @@ def from_color_counts(counts: dict[int, int]) -> ExtendedYoungDiagram:
     when their box totals match.  The v-th box of color c sits in column
     max(c, 0) + v - 1, so ell = max(|c| + v) over the nonzero counts keeps
     every column index at most ell and every color inside (-ell, ell).
+
+    No diagram has fewer than ell nonzero counts: with the v-th box of a
+    color c >= 0, row 1 holds the colors 0 .. c + v - 1, and with that of
+    a color c < 0, column 0 holds the colors 0 .. c - v + 1.  So fewer are
+    refused before the room is built, in time linear in the counts.
     """
     for c, cnt in counts.items():
         if cnt < 0:
             raise ValueError(f"color {c} has negative count {cnt}")
-    ell = max((abs(c) + v for c, v in counts.items() if v), default=0)
-    room = [0] * (2 * ell)
-    for c, v in counts.items():
-        if v:
+    nonzero = {c: v for c, v in counts.items() if v}
+    ell = max((abs(c) + v for c, v in nonzero.items()), default=0)
+    if ell <= len(nonzero):
+        room = [0] * (2 * ell)
+        for c, v in nonzero.items():
             room[c] = v
-    low = _lower_bound(room, 1, ell)
-    if sum(low) != sum(room):
-        raise ValueError(f"no diagram has the color counts {dict(sorted(counts.items()))}")
-    return ExtendedYoungDiagram.from_depths(low)
+        low = _lower_bound(room, 1, ell)
+        if sum(low) == sum(room):
+            return ExtendedYoungDiagram.from_depths(low)
+    raise ValueError(f"no diagram has the color counts {dict(sorted(counts.items()))}")
 
 
 def is_crystal_element(diagrams, n: int) -> bool:
@@ -223,21 +229,22 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     padding, so its cost does not grow with k.
 
     Each diagram but the last is searched for in an interval: it is a
-    sub-diagram of the one before it (the first, of a rectangle as deep as
-    the largest budget entry), and it contains a lower-bound diagram `low`.
-    Color counts are lists of 2*ell slots indexed by color mod 2*ell.  The
-    `left` diagrams still to come are nested, so each holds at most as many
-    boxes of color c as the next one, and between them they use up room[c];
-    so the next one holds at least ceil(room[c] / left) boxes of color c.
-    The boxes of one color fill a prefix of their diagonal, so a diagram
-    meets every such bound exactly when it holds the ceil(room[c] / left)-th
-    box of each diagonal, that is, when it contains `low`, the smallest
-    diagram holding those boxes.  The search builds the interval column by
-    column.  A column stops as soon as one more box would push its color
-    past the room the chain has left; the search moves on to column i + 1
-    only from depths of column i at least low's, since no column to the
-    right adds a box to column i; and it takes a sub-diagram once it spans
-    low's nonzero columns.
+    sub-diagram of the one before it (the first, of the ell x ell corner),
+    and it contains a lower-bound diagram `low`.  The room the chain has
+    left is one list of 2*ell slots, indexed by color mod 2*ell, shared by
+    every level: the search takes each box it places out of it and puts the
+    box back as it backtracks.  The `left` diagrams still to come are
+    nested, so each holds at most as many boxes of color c as the next one,
+    and between them they use up room[c]; so the next one holds at least
+    ceil(room[c] / left) boxes of color c.  The boxes of one color fill a
+    prefix of their diagonal, so a diagram meets every such bound exactly
+    when it holds the ceil(room[c] / left)-th box of each diagonal, that is,
+    when it contains `low`, the smallest diagram holding those boxes.  The
+    search builds the interval column by column.  A column stops at the
+    first box whose color has no room left; the search moves on to column
+    i + 1 only from depths of column i at least low's, since no column to
+    the right adds a box to column i; and it takes a sub-diagram once it
+    spans low's nonzero columns.
 
     The last diagram must use up the room exactly.  Any diagram that does
     contains low, which at left = 1 holds at least room[c] boxes of each
@@ -246,90 +253,80 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     before holds at least ceil(r/2) of the r boxes of each color that the
     two had left, so at least as many as low, and a diagram with at least
     as many boxes on every diagonal contains the other.  At k = 1 the
-    diagram before is the root rectangle, which contains the corner.
+    diagram before is the root, the corner, which contains every diagram
+    that fits the budget.
 
     A search builds one ExtendedYoungDiagram per distinct depths tuple that
     reaches an element, at most C(2*ell, ell) objects, the diagrams of the
     ell x ell corner.
 
     A state is one extension step of the chain, one generated sub-diagram
-    or one finished chain.  The search counts states and raises
-    NodeBudgetExceeded beyond `node_budget`.  It refuses up front when
-    Catalan(ell) + 1 states (2 at k = 1) exceed the budget, a true lower
-    bound: every element is one finished chain and one state, the root step
-    is another, and for k >= 2 the elements include the k = 2 elements
-    padded with empty diagrams, which by the paper's k = 2 theorem number
-    Catalan(ell).
+    or one finished chain, which the last level counts when it keeps low.
+    The search counts states and raises NodeBudgetExceeded beyond
+    `node_budget`.  It refuses up front when Catalan(ell) + 1 states (2 at
+    k = 1) exceed the budget, a true lower bound: every element is one
+    finished chain and one state, the root step is another, and for k >= 2
+    the elements include the k = 2 elements padded with empty diagrams,
+    which by the paper's k = 2 theorem number Catalan(ell).
     """
     _refuse_up_front(ell, k, node_budget)
-    slots = 2 * ell
-    budget = gamma(slots, ell, k).m
-    visited = [0]
+    room = list(gamma(2 * ell, ell, k).m)
+    visited = 0
 
     def tick():
-        visited[0] += 1
-        if visited[0] > node_budget:
+        nonlocal visited
+        visited += 1
+        if visited > node_budget:
             raise NodeBudgetExceeded(f"search exceeded {node_budget} states")
 
     diagram = functools.cache(ExtendedYoungDiagram.from_depths)
     chain: list[tuple[int, ...]] = []
     results = []
 
-    def extend(prev, room, left):
-        # chain holds levels - left diagrams leaving `room` per color; the next
-        # one is a sub-diagram of prev
+    def extend(prev, left):
+        # chain holds levels - left diagrams, which leave `room` per color;
+        # the next one is a sub-diagram of prev
         tick()
-        if left == 0:
-            # the last diagram filled its room exactly, so the counts sum to
-            # the budget
-            ys = tuple(map(diagram, chain))
-            assert is_crystal_element(ys, 2 * ell), ys
-            results.append(ys + padding)
-            return
         low = _lower_bound(room, left, ell)
         if left == 1:
             # the last diagram is low, or there is none; its zero columns are
             # cut, as at every other level, so it shares their cached diagram
             if sum(low) == sum(room):
-                chain.append(tuple(low[:low.index(0)]))
-                extend(None, None, 0)
-                chain.pop()
+                tick()  # the finished chain
+                ys = tuple(map(diagram, chain)) + (diagram(tuple(low[:low.index(0)])),)
+                assert is_crystal_element(ys, 2 * ell), ys
+                results.append(ys + padding)
             return
-        counts = [0] * slots
         depths: list[int] = []
 
         def columns(i):
             # depths holds columns 0..i-1 of a sub-diagram of prev, each at
-            # least as deep as low's; take it once it spans low, then deepen
-            # column i one box at a time; i <= ell, since column ell would
-            # start with color ell, whose budget is 0, and a color c in
-            # (-ell, ell] indexes room and counts as itself, mod 2*ell
+            # least as deep as low's, their boxes taken out of room; take it
+            # once it spans low, then deepen column i one box at a time;
+            # i <= ell, since column ell would start with color ell, whose
+            # room is 0, and room[c] is color c's room for c in (-ell, ell]
             tick()
             if not low[i]:
                 chain.append(tuple(depths))
-                extend(chain[-1], tuple(map(sub, room, counts)), left - 1)
+                extend(chain[-1], left - 1)
                 chain.pop()
             if i == len(prev):
                 return  # prev has no column i
             cap = min(depths[-1], prev[i]) if depths else prev[0]
             d = 0
-            while d < cap:
-                c = i - d
-                if counts[c] == room[c]:
-                    break  # deeper boxes include this one
-                counts[c] += 1
+            while d < cap and room[i - d]:  # a deeper column holds this box too
+                room[i - d] -= 1
                 d += 1
                 if d >= low[i]:
                     depths.append(d)
                     columns(i + 1)
                     depths.pop()
             for c in range(i - d + 1, i + 1):
-                counts[c] -= 1
+                room[c] += 1
 
         columns(0)
 
-    # every column holds a box, so no diagram is wider than the budget total
     levels = min(k, ell)
     padding = (ExtendedYoungDiagram(),) * (k - levels)
-    extend((max(budget),) * sum(budget), budget, levels)
+    extend((ell,) * ell, levels)
     return frozenset(results)

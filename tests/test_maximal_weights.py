@@ -62,11 +62,14 @@ def test_weights_match_kac_theorem_at_every_s():
     # an oracle that shares nothing with the tuple families, at every s;
     # the count is also the coefficient of q^s in [n-1+k choose k]_q modulo
     # q^n - 1, as the level-k labels with sum(i*a_i) = s mod n are the
-    # k-multisets of Z/n with sum s
+    # k-multisets of Z/n with sum s; at n <= 4 it reaches far in k, where
+    # the plateaus grow long and the falls below them many
+    k_max = {2: 60, 3: 40, 4: 20}
     t0 = time.time()
     for n in range(2, 13):
-        columns = qbinomial_columns_mod(n, 5)
-        for k in range(1, 6):
+        top = k_max.get(n, 5)
+        columns = qbinomial_columns_mod(n, top)
+        for k in range(1, top + 1):
             for s in range(n):
                 report = maximal_dominant_weights(n, k, s)
                 assert [w.m for w in report.weights] == kac_maximal_weights(n, k, s), (n, k, s)

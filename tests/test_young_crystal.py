@@ -80,10 +80,14 @@ def test_from_color_counts_rejects_gaps():
     with pytest.raises(ValueError):
         from_color_counts({0: 1, 1: 2, 2: 1})
     # lone far colors raise ValueError, not an IndexError from outside the
-    # color window their counts size
-    for counts in ({40: 1}, {-40: 2}, {0: 1, 9: 3}):
-        with pytest.raises(ValueError, match="no diagram has"):
+    # color window their counts size; those beyond the number of nonzero
+    # counts are refused at once, where building the 2*10**6 slots of the
+    # window of {10**6: 1} took 0.155 s and 44 MB
+    for counts in ({40: 1}, {-40: 2}, {0: 1, 9: 3}, {10**6: 1}, {-10**6: 2}, {0: 10**6}):
+        t0 = time.process_time()
+        with pytest.raises(ValueError, match="no diagram has the color counts"):
             from_color_counts(counts)
+        assert time.process_time() - t0 < 0.02, counts
     with pytest.raises(ValueError, match="negative count"):
         from_color_counts({0: -1})
     with pytest.raises(ValueError, match="negative count"):
@@ -211,10 +215,15 @@ def test_node_budget_guard_fires_during_search():
 
 @pytest.mark.parametrize(
     "ell, k, states, size",
-    [(6, 2, 462, 132), (7, 2, 1485, 429), (6, 4, 12761, 694), (7, 3, 41917, 2761)],
+    [
+        (6, 2, 462, 132), (7, 2, 1485, 429), (6, 3, 5722, 513), (6, 4, 12761, 694),
+        (7, 3, 41917, 2761), (5, 5, 1880, 120), (6, 6, 17089, 720), (6, 9, 17089, 720),
+    ],
 )
 def test_search_visits_pinned_states(ell, k, states, size):
-    # the exact state count: the search completes within it and not below
+    # the exact state count: the search completes within it and not below;
+    # at k >= ell it searches min(k, ell) levels, and at k > ell it pads
+    # each element with empty diagrams at no further state
     assert len(enumerate_weight_space(ell, k, node_budget=states)) == size
     with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {states - 1} states"):
         enumerate_weight_space(ell, k, node_budget=states - 1)
