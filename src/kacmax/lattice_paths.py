@@ -2,14 +2,15 @@
 
 A monotone R/U path from (0,0) to (ell,ell) is stored by its move string;
 its height profile H_1 <= ... <= H_ell records the level of the horizontal
-step crossing each column a of the ell x ell square.  The cells above the
-path form an extended Young diagram set in the square's top-left corner,
-its column a-1 of depth ell - H_a, and every cell of the square takes the
-color of that diagram position (see `young_crystal`), an integer in
-1-ell..ell-1.  A (k-1)-tuple of such paths cuts the square into k regions;
-reading each region as an extended Young diagram recovers a containment
-chain.  No rank n enters here: the bijection lives in the ell x ell square,
-and n matters only to whether the chain is a crystal element.  Admissible
+step crossing each column a of the ell x ell square.  Each cell takes the
+color of its position in a diagram set in the square's top-left corner (see
+`young_crystal`), an integer c in 1-ell..ell-1.  With r(m) the number of R
+moves among a path's first m, the cells above it hold r(ell + c) - max(c, 0)
+of color c: column a's color-c cell lies above column a's step exactly when
+that step comes among the first ell + c moves.  A (k-1)-tuple of such paths
+cuts the square into k regions, read as a chain of extended Young diagrams.
+No rank n enters here: the bijection lives in the ell x ell square, and n
+matters only to whether the chain is a crystal element.  Admissible
 tuples are counted by a per-color transfer DP, a walk over sorted vectors
 of min(k, ell) parts with one step rule: a box to the first member of each
 tie block.  They are listed by reading the crystal search through that
@@ -47,19 +48,6 @@ class LatticePath(namedtuple("LatticePath", "moves")):
                 hs.append(y)
         return tuple(hs)
 
-    @classmethod
-    def from_heights(cls, hs) -> "LatticePath":
-        hs = tuple(hs)
-        ell, y, out = len(hs), 0, []
-        for h in hs:
-            if h < y or h > ell:
-                raise ValueError(f"heights must increase weakly within 0..{ell}, got {hs}")
-            out.append("U" * (h - y))
-            out.append("R")
-            y = h
-        out.append("U" * (ell - y))
-        return cls("".join(out))
-
     @property
     def weakly_below_diagonal(self) -> bool:
         return all(h <= a for a, h in enumerate(self.heights))
@@ -94,43 +82,37 @@ def parse_paths(text: str) -> PathSequence:
     return PathSequence(paths[0].ell, len(paths) + 1, paths)
 
 
-def _square(ell: int) -> dict[int, int]:
-    """Per-color cell counts of the whole ell x ell square."""
-    return {c: ell - abs(c) for c in range(1 - ell, ell)}
-
-
-def _diagram_above(p: LatticePath) -> ExtendedYoungDiagram:
-    """The cells above the path as a diagram in the square's top-left
-    corner: column a-1 holds the ell - H_a cells above column a's step."""
-    from .young_crystal import ExtendedYoungDiagram
-
-    return ExtendedYoungDiagram.from_depths(p.ell - h for h in p.heights)
-
-
-def _path_below(y: ExtendedYoungDiagram, ell: int) -> LatticePath:
-    """The path with exactly the diagram y above it in the ell x ell square,
-    the inverse of `_diagram_above`; ValueError when y does not fit."""
-    if len(y.entries) > ell or y.entry(0) < -ell:
-        raise ValueError(f"cumulative region {y.depths} does not fit the {ell}x{ell} square")
-    return LatticePath.from_heights(ell + y.entry(a) for a in range(ell))
+def _path_of(counts: dict[int, int], ell: int) -> LatticePath | None:
+    """The path with counts[c] cells of each color c above it, or None when
+    no path has them: no count lies outside the colors 1-ell..ell-1, and
+    r(ell + c) = counts[c] + max(c, 0) steps by 0 or 1 from r(0) = 0 to
+    r(2*ell) = ell."""
+    if any(v and not -ell < c < ell for c, v in counts.items()):
+        return None
+    r = [counts.get(c, 0) + max(c, 0) for c in range(-ell, ell + 1)]
+    steps = [b - a for a, b in zip(r, r[1:])]
+    if any(s not in (0, 1) for s in steps):
+        return None
+    return LatticePath("".join("UR"[s] for s in steps))
 
 
 def _regions(seq: PathSequence) -> list[dict[int, int]]:
     """Per-color counts of the k regions (Y_1, ..., Y_k) cut out by a path
     tuple, over the colors 1-ell..ell-1: Y_1 above the last path, Y_2 below
-    the first, and Y_i between paths i-2 and i-1.  A count is negative where
-    a path dips below the one before it."""
-    from .young_crystal import color_counts
-
-    above = [color_counts(_diagram_above(p)) for p in seq.paths]
-    square = _square(seq.ell)
-    regions = [
-        {c: above[-1].get(c, 0) for c in square},
-        {c: v - above[0].get(c, 0) for c, v in square.items()},
+    the first, and Y_i between paths i-2 and i-1.  With the tuple bracketed
+    by the square's bottom path R^ell U^ell and top path U^ell R^ell, each
+    region is the difference of two neighbouring profiles.  A count is
+    negative where a path dips below the one before it."""
+    ell = seq.ell
+    moves = ["R" * ell + "U" * ell, *(p.moves for p in seq.paths), "U" * ell + "R" * ell]
+    # r(ell + c), the R moves among the first ell + c, at c = 1-ell..ell-1
+    profiles = [list(accumulate(ch == "R" for ch in m[:-1])) for m in moves]
+    # bottom - p_1 = Y_2, p_{i-2} - p_{i-1} = Y_i, p_{k-1} - top = Y_1
+    ys = [
+        {c: x - y for c, x, y in zip(range(1 - ell, ell), lower, upper)}
+        for lower, upper in zip(profiles, profiles[1:])
     ]
-    for prev, cur in zip(above, above[1:]):
-        regions.append({c: prev.get(c, 0) - cur.get(c, 0) for c in square})
-    return regions
+    return ys[-1:] + ys[:-1]
 
 
 def is_admissible(seq: PathSequence) -> bool:
@@ -305,23 +287,32 @@ def paths_to_ytuple(seq: PathSequence) -> tuple[ExtendedYoungDiagram, ...]:
 def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
     """The path tuple whose regions are the given chain (Y_1, ..., Y_k).
 
-    Cumulative color counts Y_1, then Y_1+Y_k, Y_1+Y_k+Y_{k-1}, ... are the
-    diagrams above p_{k-1}, p_{k-2}, ..., p_1, which `_path_below` turns
-    into the paths themselves; adding Y_2 last must complete the
-    square exactly.  Raises ValueError when some stage is not realizable.
+    Cumulative color counts Y_1, then Y_1+Y_k, Y_1+Y_k+Y_{k-1}, ... lie
+    above p_{k-1}, p_{k-2}, ..., p_1, which `_path_of` reads off them;
+    adding Y_2 last must complete the square exactly.  Raises ValueError
+    when some stage is not realizable: no diagram has its counts, or the
+    diagram that has them leaves the square.
     """
     from .young_crystal import color_counts, from_color_counts
+
+    def path_above(counts):
+        p = _path_of(counts, ell)
+        if p is None:
+            depths = from_color_counts(counts).depths
+            raise ValueError(f"cumulative region {depths} does not fit the {ell}x{ell} square")
+        return p
 
     ys = tuple(diagrams)
     k = len(ys)
     if k < 2:
         raise ValueError(f"need at least two diagrams, got {k}")
     cum = Counter(color_counts(ys[0]))
-    paths = [_path_below(from_color_counts(cum), ell)]
+    paths = [path_above(cum)]
     for y in ys[:1:-1]:  # add Y_k, ..., Y_3
         cum.update(color_counts(y))
-        paths.append(_path_below(from_color_counts(cum), ell))
+        paths.append(path_above(cum))
     cum.update(color_counts(ys[1]))  # Y_2 completes the square
-    if cum != _square(ell):  # counts are positive, so this rules out other colors too
+    # counts are positive, so this rules out other colors too
+    if cum != {c: ell - abs(c) for c in range(1 - ell, ell)}:
         raise ValueError("diagram chain does not fill the colored square")
     return PathSequence(ell, k, tuple(reversed(paths)))

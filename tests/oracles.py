@@ -16,7 +16,12 @@ from itertools import permutations
 
 from kacmax.affine_core import check_params, gamma, weight_from_x
 from kacmax.patterns import longest_decreasing
-from kacmax.young_crystal import ExtendedYoungDiagram, diagram_weight, is_crystal_element
+from kacmax.young_crystal import (
+    ExtendedYoungDiagram,
+    color_counts,
+    diagram_weight,
+    is_crystal_element,
+)
 
 
 # -- weights: the affine Cartan matrix and Kac's theorem ---------------------
@@ -351,6 +356,34 @@ def count_T_grid_by_tuples(ell_max, k_max):
             total += sum(m * m for m in by_parts[k].values())
             grid[ell, k] = total
     return grid
+
+
+def regions_by_cells(seq):
+    """The per-color counts of the k regions (Y_1, ..., Y_k) that a path
+    tuple cuts from the ell x ell square, read cell by cell: the cells above
+    each path form the diagram whose column a-1 has depth ell - H_a, and
+    `color_counts` reads its colors.  Y_1 is the diagram above the last
+    path, Y_2 the square's content (ell - |c| cells of color c) minus the
+    diagram above the first, and Y_i the diagram above path i-2 minus the
+    one above path i-1.
+
+    Pins the profile readout of `lattice_paths._regions` and its inverse
+    `_path_of` in test_lattice_paths::test_below_region_colors and
+    test_regions_match_cells_on_nested_tuples.
+    """
+    ell = seq.ell
+    above = [
+        color_counts(ExtendedYoungDiagram.from_depths(ell - h for h in p.heights))
+        for p in seq.paths
+    ]
+    square = {c: ell - abs(c) for c in range(1 - ell, ell)}
+    regions = [
+        {c: above[-1].get(c, 0) for c in square},
+        {c: v - above[0].get(c, 0) for c, v in square.items()},
+    ]
+    for prev, cur in zip(above, above[1:]):
+        regions.append({c: prev.get(c, 0) - cur.get(c, 0) for c in square})
+    return regions
 
 
 def mult_by_freudenthal(n, k, m):

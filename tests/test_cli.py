@@ -321,6 +321,17 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "bijection", "--ytuple", "[-3];[-1]")
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "region (3,) does not fit the 2x2 square" in err
+    # crystal elements that the inverse refuses at each of its three checks:
+    # a cumulative stage that is no diagram, a chain that leaves part of the
+    # square uncovered, and a cumulative diagram wider than the square
+    for ytuple, message in (
+        ("[-3];[-3];[-3]", "no diagram has the color counts {-2: 2, -1: 2, 0: 2}"),
+        ("[-2];[-2]", "diagram chain does not fill the colored square"),
+        ("[-2,-1,-1];[]", "cumulative region (2, 1, 1) does not fit the 2x2 square"),
+    ):
+        code, out, err = run(capsys, "bijection", "--ytuple", ytuple)
+        assert (code, out) == (1, ""), ytuple
+        assert err == f"error: {message}\n", ytuple
     # diagrams whose boxes fill no square, empty ones included: the message
     # names the box count and offers no flag, as none could help
     for ytuple, boxes in (("[-1,-1];[]", 2), ("[-2,-1];[-1,-1]", 5), ("[]", 0), ("[];[]", 0)):
@@ -506,6 +517,18 @@ def test_commands_load_only_what_they_run():
         never = never | {"json"}
         assert not loaded & never, (argv, sorted(loaded & never))
         assert not loaded & {"dataclasses", "inspect"}, argv
+
+
+def test_one_node_budget_default():
+    # the CLI keeps its own copy of the crystal search's default, so that
+    # starting it loads no crystal model; README states both as 10^8
+    import inspect
+
+    from kacmax.cli import DEFAULT_NODE_BUDGET
+    from kacmax.young_crystal import enumerate_weight_space
+
+    search_default = inspect.signature(enumerate_weight_space).parameters["node_budget"].default
+    assert DEFAULT_NODE_BUDGET == search_default == 10**8
 
 
 def test_help_exits_zero(capsys):

@@ -16,11 +16,11 @@ from kacmax.lattice_paths import (
     parse_paths,
     paths_to_ytuple,
     ytuple_to_paths,
-    _diagram_above,
-    _path_below,
+    _path_of,
+    _regions,
 )
-from kacmax.young_crystal import NodeBudgetExceeded, color_counts, is_crystal_element
-from oracles import count_T_grid_by_tuples, mult_by_freudenthal
+from kacmax.young_crystal import NodeBudgetExceeded, is_crystal_element
+from oracles import count_T_grid_by_tuples, mult_by_freudenthal, regions_by_cells
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -37,11 +37,6 @@ def test_path_validation():
     assert p.heights == (0, 1)
     assert p.weakly_below_diagonal
     assert not LatticePath("URRU").weakly_below_diagonal
-    assert LatticePath.from_heights((0, 1)) == p
-    with pytest.raises(ValueError):
-        LatticePath.from_heights((1, 0))
-    with pytest.raises(ValueError):
-        LatticePath.from_heights((0, 3))
 
 
 def test_sequence_validation():
@@ -54,14 +49,17 @@ def test_sequence_validation():
     assert str(seq) == "RURU;RURU"
 
 
+def _same_regions(got, want):
+    # equal counts under the same colors in the same order
+    return [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
 def test_below_region_colors():
-    # the cells below a path are the square's content minus the diagram
-    # above it, colored as the crystal model colors that diagram
+    # the cells below a path are Y_2 of the one-path tuple, colored as the
+    # crystal model colors the diagram position of each cell
     def below(moves):
         p = LatticePath(moves)
-        above = color_counts(_diagram_above(p))
-        counts = {c: p.ell - abs(c) - above.get(c, 0) for c in range(1 - p.ell, p.ell)}
-        return {c: v for c, v in counts.items() if v}
+        return {c: v for c, v in _regions(PathSequence(p.ell, 2, (p,)))[1].items() if v}
 
     assert below("RRUU") == {}
     assert below("RURU") == {0: 1}
@@ -71,10 +69,43 @@ def test_below_region_colors():
     assert below("UUURRR") == {
         -2: 1, -1: 2, 0: 3, 1: 2, 2: 1,
     }
-    # the diagram above a path gives the path back
-    for ell in range(1, 6):
+    # the profile readout equals the cell-by-cell one, and the counts above
+    # a path give the path back
+    for ell in range(1, 7):
         for p in _all_paths(ell):
-            assert _path_below(_diagram_above(p), ell) == p
+            seq = PathSequence(ell, 2, (p,))
+            want = regions_by_cells(seq)
+            assert _same_regions(_regions(seq), want), str(p)
+            assert _path_of(want[0], ell) == p, str(p)
+    # counts no path has: a step of two, a negative step, colors outside
+    # the square
+    assert _path_of({0: 2, 1: 1}, 2) is None
+    assert _path_of({-1: 1}, 2) is None
+    assert _path_of({2: 1}, 2) is None
+    assert _path_of({-2: 1, -1: 1, 0: 1}, 2) is None
+
+
+@st.composite
+def _nested_tuples(draw):
+    # k-1 paths by their R positions, sorted position by position so that
+    # each path lies weakly above the one before
+    ell = draw(st.integers(min_value=1, max_value=20))
+    k = draw(st.integers(min_value=2, max_value=5))
+    rows = [sorted(draw(st.permutations(range(2 * ell)))[:ell]) for _ in range(k - 1)]
+    columns = [sorted(col) for col in zip(*rows)]
+    return PathSequence(ell, k, tuple(_path_with_rs(ell, rs) for rs in zip(*columns)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_tuples())
+def test_regions_match_cells_on_nested_tuples(seq):
+    want = regions_by_cells(seq)
+    assert _same_regions(_regions(seq), want)
+    # the counts above p_{k-1}, ..., p_1 are Y_1, Y_1 + Y_k, ...
+    above = dict(want[0])
+    for p, y in zip(reversed(seq.paths), [{}, *want[:1:-1]]):
+        above = {c: v + y.get(c, 0) for c, v in above.items()}
+        assert _path_of(above, seq.ell) == p, str(seq)
 
 
 def test_triangle_counts_frozen():
@@ -186,11 +217,13 @@ def test_smallest_triangles_frozen():
     assert got == ["RRUU;RRUU", "RURU;RURU"]
 
 
+def _path_with_rs(ell, rs):
+    # the path whose R moves come at the 0-based positions rs
+    return LatticePath("".join("R" if m in rs else "U" for m in range(2 * ell)))
+
+
 def _all_paths(ell):
-    return [
-        LatticePath.from_heights(hs)
-        for hs in itertools.combinations_with_replacement(range(ell + 1), ell)
-    ]
+    return [_path_with_rs(ell, rs) for rs in itertools.combinations(range(2 * ell), ell)]
 
 
 def test_admissibility_filter_is_the_whole_story():
@@ -251,12 +284,12 @@ def test_paths_to_diagrams_frozen():
 
 
 def test_paths_to_diagrams_roundtrip():
-    for ell in (1, 2, 3):
-        for k in (2, 3, 4):
-            for seq in enumerate_T(ell, k):
-                ys = paths_to_ytuple(seq)
-                back = ytuple_to_paths(ys, ell)
-                assert back == seq, (ell, k, str(seq))
+    cases = [(ell, k) for ell in range(1, 7) for k in (2, 3, 4)] + [(7, 3)]
+    for ell, k in cases:
+        for seq in enumerate_T(ell, k):
+            ys = paths_to_ytuple(seq)
+            back = ytuple_to_paths(ys, ell)
+            assert back == seq, (ell, k, str(seq))
 
 
 def test_inadmissible_tuples_rejected():
