@@ -13,9 +13,9 @@ No rank n enters here: the bijection lives in the ell x ell square, and n
 matters only to whether the chain is a crystal element.  Admissible
 tuples are counted by a per-color transfer DP, a walk over sorted vectors
 of min(k, ell) parts with one step rule: a box to the first member of each
-tie block.  They are listed by reading the crystal search through that
-bijection.  The crystal model is imported inside the functions that read
-it, so a process that only counts never compiles it.
+tie block.  They are listed as pairs of standard tableaux of one shape.
+The crystal model is imported inside the functions that read it, so a
+process that only counts or lists tuples never compiles it.
 """
 
 from __future__ import annotations
@@ -145,32 +145,50 @@ def is_admissible(seq: PathSequence) -> bool:
     return True
 
 
+_MAX_TUPLES = 10**6
+
+
 def enumerate_T(ell: int, k: int) -> frozenset:
-    """Every admissible path tuple: the crystal elements of weight
-    k*Lambda_0 - gamma_ell, the same at every rank n >= 2*ell, sent through
-    `ytuple_to_paths`.
+    """Every admissible path tuple, read off a pair of standard tableaux.
 
-    The tuples are listed at j = max(2, min(k, ell)) diagrams, checked
-    admissible there, and each is padded with k - j copies of its last path.
-    At k > j an element is a chain of j diagrams padded with empty ones (see
-    `enumerate_weight_space`).  The empty diagrams Y_{j+1}, ..., Y_k leave
-    the cumulative region Y_1 + Y_k + ... + Y_{j+1} = Y_1 unchanged, so
-    `ytuple_to_paths` gives the paths of the j-tuple followed by k - j more
-    copies of its last path, the path below Y_1.  The repeated paths cut
-    empty regions, which pass every admissibility check: 0 is at most the
-    region before and the room left, which the j-tuple's checks leave >= 0,
-    and 0 breaks no unimodality.  So the search and the checks cost the same
-    at every k >= ell; only building the padded tuples grows with k.
-
-    The search is `enumerate_weight_space` at its default node budget, so
-    large cases raise NodeBudgetExceeded.
+    Read a tuple's chain Y_1 >= ... >= Y_k (`paths_to_ytuple`) one color at
+    a time.  The boxes of one color fill a prefix of their diagonal, so each
+    color's count vector is weakly decreasing along the chain.  A diagram's
+    counts step by 0 or 1 away from color 0, and the budget ell - |c| grows
+    by one at each step toward 0, so each such step gives one diagram one
+    box.  So color c's vector is the shape of P's (c >= 0) or Q's (c < 0)
+    entries <= ell - |c|, for standard tableaux P, Q of one shape with at
+    most k rows: row 0 is Y_1, row r >= 1 is Y_{r+1}.  Each such pair is an
+    element (`enumerate_weight_space`), so this is `count_T` tuple by tuple.
+    The tableaux are row words at j = max(2, min(k, ell)) rows; rows 1..i lie
+    below path i, and rows >= j are empty, so paths j..k-1 repeat path j-1.
+    A tuple takes about 420 bytes (tracemalloc at (9, 3)), and (10, 3)'s
+    586590 took 29-39 s at 323 MB peak RSS; past _MAX_TUPLES it refuses.
     """
-    from .young_crystal import enumerate_weight_space
-
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
     j = max(2, min(k, ell))
-    short = [ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(ell, j)]
+    # Catalan(m) <= count_T(ell, 2) <= count_T(ell, j) for m <= ell; it passes
+    # the limit by m = 14, so count_T, whose walk grows with ell, runs only below
+    least, m = 1, 0
+    while m < ell and least <= _MAX_TUPLES:
+        least, m = least * (4 * m + 2) // (m + 2), m + 1
+    least = least if least > _MAX_TUPLES else count_T(ell, j)
+    if least > _MAX_TUPLES:
+        from .young_crystal import NodeBudgetExceeded
+        raise NodeBudgetExceeded(f"at least {least} path tuples at ell={ell}, k={k}")
+    words = [()]  # the row of each entry, row r - 1 always ahead of row r
+    for _ in range(ell):
+        words = [w + (r,) for w in words for r in range(j) if not r or w.count(r - 1) > w.count(r)]
+    by_shape: dict[tuple[int, ...], list] = {}
+    for w in words:
+        by_shape.setdefault(tuple(map(w.count, range(j))), []).append(w)
+    short = []
+    for ws in by_shape.values():  # path i from Q's word, then P's backwards
+        heads = [["".join("RU"[0 < r <= i] for r in w) for i in range(1, j)] for w in ws]
+        tails = [["".join("UR"[0 < r <= i] for r in w[::-1]) for i in range(1, j)] for w in ws]
+        short += [PathSequence(ell, j, tuple(map(LatticePath, map(str.__add__, q, p))))
+                  for p in tails for q in heads]
     assert all(map(is_admissible, short)), (ell, j)
     return frozenset(PathSequence(ell, k, p.paths + p.paths[-1:] * (k - j)) for p in short)
 
@@ -246,21 +264,11 @@ def count_T_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
 def count_T(ell: int, k: int) -> int:
     """Number of admissible path tuples, via a transfer DP over colors.
 
-    A tuple corresponds to a chain of k diagrams whose color counts sum to
-    the full square (ell - |c| cells of color c).  Walking colors from ell-1
-    toward 0, a state is the sorted k-vector of per-diagram counts of the
-    current color, starting at (1, 0, ..., 0); each step gives one cell to
-    the first member of a tie block, so after the ell-1 up-steps the state
-    is a partition lambda of ell with at most k parts, reached in
-    mult(lambda) = f^lambda ways.  The walk on from color 0 to 1-ell takes a
-    cell from the last member of a tie block, which is exactly an up-step
-    reversed, so mult(lambda) down-walks also return to (1, 0, ..., 0).
-    Hence
-
-        count_T(ell, k) = sum over lambda of mult(lambda)^2,
-
-    with lambda over the partitions of ell into at most k parts, the states
-    of the last step of `_walk`.
+    A tuple is a pair of standard tableaux of one shape lambda of ell with
+    at most k rows (`enumerate_T`).  A state of the walk is the sorted vector
+    of one color's counts, and a step gives a box to the first member of a
+    tie block, an addable corner; so the last step of `_walk` reaches lambda
+    in mult(lambda) = f^lambda ways, and count_T = sum of mult(lambda)^2.
     """
     for states in _walk(ell, k):
         pass
@@ -302,6 +310,8 @@ def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
             raise ValueError(f"cumulative region {depths} does not fit the {ell}x{ell} square")
         return p
 
+    if ell < 1:
+        raise ValueError(f"need ell >= 1, got ell={ell}")
     ys = tuple(diagrams)
     k = len(ys)
     if k < 2:

@@ -11,7 +11,7 @@ speed, and are meant for the small sizes the tests use.
 import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import permutations
 
 from kacmax.affine_core import check_params, gamma, weight_from_x
@@ -534,6 +534,77 @@ def gessel_4321_avoiders(ell):
     q, r = divmod(num, (ell + 1) ** 2 * (ell + 2))
     assert r == 0, ell
     return q
+
+
+def rsk(w):
+    """Robinson-Schensted row insertion of a permutation w of 1..ell: the
+    pair (P, Q) of standard tableaux of one shape, as lists of rows.  Each
+    value goes into row 0 and bumps the first entry above it to the next
+    row; Q records at which step each box of P was added.  By Schensted
+    (1961) the number of rows is the length of w's longest decreasing
+    subsequence.
+
+    Checked against `longest_decreasing` in
+    test_patterns::test_rsk_rows_are_the_longest_decreasing_subsequence;
+    with `inverse_rsk` it decodes `enumerate_T` in
+    test_lattice_paths::test_tuples_decode_to_avoiding_permutations.
+    """
+    P, Q = [], []
+    for t, x in enumerate(w, 1):
+        for r, row in enumerate(P):
+            i = bisect_right(row, x)  # the first entry above x
+            if i == len(row):
+                break
+            row[i], x = x, row[i]
+        else:
+            r = len(P)
+            P.append([])
+            Q.append([])
+        P[r].append(x)
+        Q[r].append(t)
+    return P, Q
+
+
+def inverse_rsk(P, Q):
+    """The permutation that `rsk` sends to (P, Q), read from its last step
+    back: the box of Q's largest entry leaves P, and its value bumps the
+    largest entry below it in each row above; what leaves row 0 is the last
+    letter.  Used where `rsk` is, and in CI at (9, 3)."""
+    P = [list(row) for row in P]
+    Q = [list(row) for row in Q]
+    w = []
+    for t in range(sum(map(len, Q)), 0, -1):
+        r = next(r for r, row in enumerate(Q) if row and row[-1] == t)
+        Q[r].pop()
+        x = P[r].pop()
+        for row in reversed(P[:r]):
+            i = bisect_left(row, x) - 1  # the last entry below x
+            row[i], x = x, row[i]
+        w.append(x)
+    return tuple(reversed(w))
+
+
+def tableaux_of_paths(seq):
+    """The pair (P, Q) of standard tableaux that a path tuple of
+    `enumerate_T` encodes, read off the paths alone: entry t of Q lies in
+    the row of the first path (numbered from 1) with a U at move t - 1, and
+    entry t of P in that of the first path with an R at move 2*ell - t; in
+    row 0 when no path has one.
+
+    Decodes `enumerate_T` in
+    test_lattice_paths::test_tuples_decode_to_avoiding_permutations and in CI
+    at (9, 3).
+    """
+    ell = seq.ell
+
+    def tableau(move, at):
+        word = [
+            next((i for i, p in enumerate(seq.paths, 1) if p.moves[at(t)] == move), 0)
+            for t in range(1, ell + 1)
+        ]
+        return [[t for t, r in enumerate(word, 1) if r == row] for row in range(max(word) + 1)]
+
+    return tableau("R", lambda t: 2 * ell - t), tableau("U", lambda t: t - 1)
 
 
 # -- crystals: diagrams and chains -------------------------------------------

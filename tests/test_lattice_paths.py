@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kacmax
 from kacmax.affine_core import gamma
 from kacmax.lattice_paths import (
     LatticePath,
@@ -19,8 +23,21 @@ from kacmax.lattice_paths import (
     _path_of,
     _regions,
 )
-from kacmax.young_crystal import NodeBudgetExceeded, is_crystal_element
-from oracles import count_T_grid_by_tuples, mult_by_freudenthal, regions_by_cells
+from kacmax.patterns import count_avoiding, longest_decreasing
+from kacmax.young_crystal import (
+    NodeBudgetExceeded,
+    enumerate_weight_space,
+    is_crystal_element,
+    parse_diagram,
+)
+from oracles import (
+    count_T_grid_by_tuples,
+    inverse_rsk,
+    mult_by_freudenthal,
+    regions_by_cells,
+    rsk,
+    tableaux_of_paths,
+)
 
 TRIANGLE_COUNTS = {2: 2, 3: 6, 4: 23}
 
@@ -131,13 +148,58 @@ def test_enumeration_matches_count():
 
 def test_enumeration_pads_at_huge_k():
     # at k > ell the tuples are listed at ell diagrams and padded with copies
-    # of the last path, so a huge k costs no more than building them
+    # of the last path, so a huge k costs no more than building them; the
+    # crystal search pads its chains with empty diagrams on its own
     start = time.process_time()
     got = enumerate_T(4, 10**4)
     assert time.process_time() - start < 1
     short = enumerate_T(4, 4)
     assert got == {PathSequence(4, 10**4, p.paths + p.paths[-1:] * (10**4 - 4)) for p in short}
     assert len(got) == 24
+    assert got == {ytuple_to_paths(ys, 4) for ys in enumerate_weight_space(4, 10**4)}
+
+
+def test_lister_matches_the_crystal_search():
+    # enumerate_T reads tableau pairs and never runs the crystal search, so
+    # the two listings are independent, and they must agree tuple by tuple
+    cells = [(ell, k) for ell in range(1, 7) for k in range(2, 7)] + [(7, 3), (8, 3)]
+    for ell, k in cells:
+        want = {ytuple_to_paths(ys, ell) for ys in enumerate_weight_space(ell, k)}
+        assert enumerate_T(ell, k) == want, (ell, k)
+
+
+def test_lister_loads_no_crystal_model():
+    # a fresh interpreter, because this one has loaded the crystal model
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kacmax.__file__)))
+    probe = (
+        "import sys\n"
+        "from kacmax.lattice_paths import enumerate_T\n"
+        "assert len(enumerate_T(8, 3)) == 15767\n"
+        "print('kacmax.young_crystal' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_tuples_decode_to_avoiding_permutations():
+    # each tuple is a pair (P, Q) of standard tableaux of one shape with at
+    # most k rows, read back off the paths alone; inverse RSK sends the pairs
+    # one to one onto the permutations with no decreasing subsequence longer
+    # than k, which is the paper's multiplicity conjecture tuple by tuple
+    for ell in range(1, 8):
+        for k in (2, 3, 4):
+            perms = set()
+            for seq in enumerate_T(ell, k):
+                P, Q = tableaux_of_paths(seq)
+                w = inverse_rsk(P, Q)
+                assert rsk(w) == (P, Q), str(seq)
+                assert longest_decreasing(w) <= k, str(seq)
+                perms.add(w)
+            assert len(perms) == count_avoiding(ell, k), (ell, k)
 
 
 def test_count_T_matches_freudenthal():
@@ -229,7 +291,7 @@ def _all_paths(ell):
 def test_admissibility_filter_is_the_whole_story():
     # reference: filter every dominating tuple of paths whose first path is
     # weakly below the diagonal through is_admissible.  It must give the set
-    # enumerate_T reads off the crystal search, and the number count_T gives.
+    # enumerate_T reads off the tableau pairs, and the number count_T gives.
     grid = count_T_grid(4, 4)
     for ell in (1, 2, 3, 4):
         all_paths = _all_paths(ell)
@@ -315,13 +377,25 @@ def test_inadmissible_tuples_rejected():
     assert not is_crystal_element(paths_to_ytuple(bad4), 10)
 
 
-def test_enumeration_inherits_the_crystal_budget():
-    # Catalan(17) + 1 states exceed the default budget of 10^8, so the crystal
-    # search refuses up front
-    with pytest.raises(NodeBudgetExceeded, match="at least"):
-        enumerate_T(17, 3)
+def test_enumeration_refuses_more_than_a_million_tuples():
+    # the listing refuses up front where Catalan(ell), or else count_T(ell, j),
+    # exceeds 10^6 tuples: at (17, 3) and (3000, 3) Catalan(ell) does, and
+    # (11, 3) has 3763290 tuples; none of them lists or walks to ell
+    for ell, k in ((17, 3), (11, 3), (3000, 3)):
+        start = time.process_time()
+        with pytest.raises(NodeBudgetExceeded, match="at least"):
+            enumerate_T(ell, k)
+        assert time.process_time() - start < 0.01, (ell, k)
     with pytest.raises(ValueError):
         enumerate_T(3, 1)
+
+
+def test_ytuple_to_paths_refuses_ell_below_one():
+    empty, box = parse_diagram("[]"), parse_diagram("[-1]")
+    for ys in ((empty, empty), (box, empty), (empty, box)):
+        for ell in (0, -1):
+            with pytest.raises(ValueError, match=f"need ell >= 1, got ell={ell}"):
+                ytuple_to_paths(ys, ell)
 
 
 @settings(max_examples=50, deadline=None)

@@ -16,7 +16,13 @@ from kacmax.patterns import (
     longest_decreasing,
     parse_perm,
 )
-from oracles import count_avoiding_bruteforce, count_by_patience_sorting, squares_by_rows_by_hooks
+from oracles import (
+    count_avoiding_bruteforce,
+    count_by_patience_sorting,
+    inverse_rsk,
+    rsk,
+    squares_by_rows_by_hooks,
+)
 
 
 def test_parse_and_format():
@@ -40,6 +46,16 @@ def test_longest_decreasing():
     assert longest_decreasing((3, 2, 1)) == 3
     assert longest_decreasing((1,)) == 1
     assert longest_decreasing((5, 6, 3, 4, 1, 2)) == 3
+
+
+def test_rsk_rows_are_the_longest_decreasing_subsequence():
+    # Schensted's theorem on every permutation of ell <= 7, and the inverse
+    # gives each permutation back
+    for ell in range(1, 8):
+        for w in itertools.permutations(range(1, ell + 1)):
+            P, Q = rsk(w)
+            assert len(P) == longest_decreasing(w), w
+            assert inverse_rsk(P, Q) == w
 
 
 def test_bjs_frozen_pairs():
