@@ -76,6 +76,15 @@ def gamma(n: int, ell: int, k: int) -> AlphaExpansion:
     return AlphaExpansion(n=n, k=k, s=0, m=tuple(m))
 
 
+def catalan_floor(ell: int, limit: int) -> int:
+    """Catalan(m) at the first m = 1..ell above `limit`, else Catalan(ell): by the
+    paper's k = 2 theorem, a floor on the multiplicity of k*Lambda_0 - gamma_ell at k >= 2."""
+    c, m = 1, 1
+    while m < ell and c <= limit:
+        c, m = c * (4 * m + 2) // (m + 2), m + 1
+    return c
+
+
 def is_dominant(w: AlphaExpansion) -> bool:
     """True iff w pairs nonnegatively with every coroot h_0..h_{n-1}.
 

@@ -321,8 +321,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # flags still parse under the interpreter's limit on integer digits, and
+    # output lifts it, so that every integer prints in full
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         args = _build_parser().parse_args(argv)
+        if digits:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -339,6 +344,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_RESOURCE
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

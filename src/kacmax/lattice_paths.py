@@ -163,16 +163,16 @@ def enumerate_T(ell: int, k: int) -> frozenset:
     The tableaux are row words at j = max(2, min(k, ell)) rows; rows 1..i lie
     below path i, and rows >= j are empty, so paths j..k-1 repeat path j-1.
     A tuple takes about 420 bytes (tracemalloc at (9, 3)), and (10, 3)'s
-    586590 took 29-39 s at 323 MB peak RSS; past _MAX_TUPLES it refuses.
+    586590 took 29-39 s at 323 MB peak RSS; past _MAX_TUPLES it refuses, as
+    soon as a Catalan(m), m <= ell, passes it, or else count_T(ell, j) does.
     """
     if ell < 1 or k < 2:
         raise ValueError(f"need ell >= 1 and k >= 2, got ell={ell}, k={k}")
+    from .affine_core import catalan_floor
     j = max(2, min(k, ell))
-    # Catalan(m) <= count_T(ell, 2) <= count_T(ell, j) for m <= ell; it passes
-    # the limit by m = 14, so count_T, whose walk grows with ell, runs only below
-    least, m = 1, 0
-    while m < ell and least <= _MAX_TUPLES:
-        least, m = least * (4 * m + 2) // (m + 2), m + 1
+    # the floor is at most count_T(ell, 2) <= count_T(ell, j); it passes the
+    # limit by m = 14, so count_T, whose walk grows with ell, runs only below
+    least = catalan_floor(ell, _MAX_TUPLES)
     least = least if least > _MAX_TUPLES else count_T(ell, j)
     if least > _MAX_TUPLES:
         from .young_crystal import NodeBudgetExceeded
@@ -318,9 +318,12 @@ def ytuple_to_paths(diagrams, ell: int) -> PathSequence:
         raise ValueError(f"need at least two diagrams, got {k}")
     cum = Counter(color_counts(ys[0]))
     paths = [path_above(cum)]
-    for y in ys[:1:-1]:  # add Y_k, ..., Y_3
-        cum.update(color_counts(y))
-        paths.append(path_above(cum))
+    for y in ys[:1:-1]:  # add Y_k, ..., Y_3; an empty one adds no counts
+        if y.entries:
+            cum.update(color_counts(y))
+            paths.append(path_above(cum))
+        else:
+            paths.append(paths[-1])
     cum.update(color_counts(ys[1]))  # Y_2 completes the square
     # counts are positive, so this rules out other colors too
     if cum != {c: ell - abs(c) for c in range(1 - ell, ell)}:

@@ -15,11 +15,10 @@ the search takes no rank.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 from operator import gt, or_
 
-from .affine_core import AlphaExpansion, check_params, gamma
+from .affine_core import AlphaExpansion, catalan_floor, check_params, gamma
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -154,20 +153,13 @@ def is_crystal_element(diagrams, n: int) -> bool:
     return all(covered)
 
 
-def _least_states(k: int, ell: int) -> int:
-    # the root step plus one leaf state per element; at k >= 2 the elements
-    # include the k = 2 elements padded with empty diagrams, Catalan(ell) of
-    # them, and at k = 1 there is one element
-    return (math.comb(2 * ell, ell) // (ell + 1) if k >= 2 else 1) + 1
-
-
 def _refuse_up_front(ell, k, node_budget):
-    # the checks a search makes before it starts; they read k only as k >= 1
-    # and k >= 2, so a search at min(k, ell) levels (ell >= 1) makes the
-    # same ones as one at k
+    # the root step plus a state per element, at least catalan_floor of them
+    # at k >= 2 and Catalan(1) = 1 at k = 1; the checks read k only as k >= 1
+    # and k >= 2, so a search at min(k, ell) levels (ell >= 1) makes the same
     if ell < 1 or k < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    least = _least_states(k, ell)
+    least = catalan_floor(ell if k >= 2 else 1, node_budget - 1) + 1
     if least > node_budget:
         raise NodeBudgetExceeded(
             f"at least {least} states at ell={ell}, k={k}, "
@@ -267,7 +259,10 @@ def enumerate_weight_space(ell: int, k: int, node_budget: int = 10**8) -> frozen
     k = 1) exceed the budget, a true lower bound: every element is one
     finished chain and one state, the root step is another, and for k >= 2
     the elements include the k = 2 elements padded with empty diagrams,
-    which by the paper's k = 2 theorem number Catalan(ell).
+    which by the paper's k = 2 theorem number Catalan(ell).  It steps
+    Catalan(m) up from m = 1 and names the first m whose Catalan(m) + 1,
+    also a lower bound, exceeds the budget, so a refusal takes at most 17
+    steps at the default budget and never builds Catalan(ell) itself.
     """
     _refuse_up_front(ell, k, node_budget)
     room = list(gamma(2 * ell, ell, k).m)

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kacmax.affine_core import (
     AlphaExpansion,
+    catalan_floor,
     check_params,
     gamma,
     is_dominant,
@@ -107,6 +110,16 @@ def test_gamma_domain():
         gamma(5, 3, 2)  # ell beyond floor(n/2)
     with pytest.raises(ValueError):
         gamma(4, 0, 2)
+
+
+def test_catalan_floor_is_the_first_catalan_past_the_limit():
+    # against the binomial formula: Catalan(m) at the first m = 1..ell above
+    # the limit, or Catalan(ell) when none is
+    catalan = [math.comb(2 * m, m) // (m + 1) for m in range(31)]
+    for ell in range(1, 31):
+        for limit in (-1, 0, 1, 2, 13, 14, 10**6, 10**8 - 1, 10**8, 10**20):
+            want = next((c for c in catalan[1:ell + 1] if c > limit), catalan[ell])
+            assert catalan_floor(ell, limit) == want, (ell, limit)
 
 
 def test_is_dominant_examples():

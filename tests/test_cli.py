@@ -416,6 +416,36 @@ def test_up_front_refusal_names_the_k_given(capsys):
         assert out == "", argv
 
 
+def test_up_front_refusal_far_past_the_budget(capsys):
+    # the floor stops at Catalan(17) + 1, the first one past the default
+    # budget, so a far larger ell is refused at once with a short number
+    code, out, err = run(capsys, "multiplicity", "--ell", "100000", "--k", "3", "--oracle", "crystal")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource guard: at least 129644791 states at ell=100000, k=3, ")
+
+
+def test_integers_print_in_full(capsys, monkeypatch):
+    # a value past the interpreter's 4300-digit limit on int-to-str
+    # conversion prints whole in TSV and JSON; flags still parse under the
+    # limit, and main restores it when it returns
+    from kacmax import cli
+
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    want = "1" + "0" * 4999 + "1"
+    monkeypatch.setitem(cli._BACKENDS, "paths", cli._Backend(lambda ell, k, budget: 10**5000 + 1, None))
+    argv = ("multiplicity", "--ell", "3", "--k", "2", "--oracle", "paths")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert lines_of(out)[1].split("\t")[3] == want
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_int=str)["values"]["paths"] == want
+    code, out, err = run(capsys, *argv[:-1], "crystal", "--node-budget", "9" * 5000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --node-budget: invalid")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == digits
+
+
 def test_more_diagrams_than_boxes(capsys):
     # at most ell diagrams of a chain are nonempty, so every route works at
     # min(k, ell); the crystal search over all k levels recursed past the

@@ -205,7 +205,7 @@ def test_node_budget_guard():
 def test_node_budget_guard_fires_during_search():
     # passes the up-front refusal (Catalan(2) + 1 = 3 states) but the search
     # needs nine states
-    assert young_crystal._least_states(2, 2) == 3
+    assert young_crystal.catalan_floor(2, 4 - 1) + 1 == 3
     with pytest.raises(NodeBudgetExceeded, match="search exceeded 4 states"):
         enumerate_weight_space(2, 2, node_budget=4)
     assert len(enumerate_weight_space(2, 2, node_budget=9)) == 2
@@ -280,11 +280,23 @@ def test_up_front_refusal_is_a_lower_bound(ell, monkeypatch):
             enumerate_weight_space(ell, k, node_budget=least - 1)
     # without the refusal, the search still visits at least the bound, and
     # at k = 1 exactly the bound
-    monkeypatch.setattr(young_crystal, "_least_states", lambda k, ell: 0)
+    monkeypatch.setattr(young_crystal, "catalan_floor", lambda ell, limit: -1)
     for k, least in bounds.items():
         with pytest.raises(NodeBudgetExceeded, match=f"search exceeded {least - 1} states"):
             enumerate_weight_space(ell, k, node_budget=least - 1)
     assert len(enumerate_weight_space(ell, 1, node_budget=2)) == 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("ell", [7200, 10**5, 10**9])
+def test_up_front_refusal_stops_at_the_first_floor_past_the_budget(ell, k):
+    # Catalan(17) + 1 is the first floor past the default budget, so every
+    # ell >= 17 is refused with it at once; the full Catalan(ell) would take
+    # seconds to build at ell = 10^6 and cannot be printed past ell = 7150
+    start = time.process_time()
+    with pytest.raises(NodeBudgetExceeded, match="at least 129644791 states"):
+        enumerate_weight_space(ell, k)
+    assert time.process_time() - start < 0.01, (ell, k)
 
 
 def test_is_crystal_element_matches_definition():
