@@ -4,10 +4,11 @@ A permutation avoids the strictly-decreasing pattern of length k+1 exactly
 when its longest strictly decreasing subsequence has length <= k; the number
 of such permutations of 1..ell equals the sum of squared standard-tableau
 counts over partition shapes of ell with at most k rows.  Those counts come
-from the hook-length formula, by one walk over the first-column hook
-lengths of the shapes: it picks them from the last row up, one recursion
-level per row, so it is at most min(k, ell) levels deep.  For k = 2 the
-classical bijection sends each 321-avoiding permutation to a monotone path
+from the hook-length formula, by one walk over the first-column hook lengths
+of the shapes: it picks them from the last row up, one recursion level per
+row, so it is at most min(k, ell) levels deep, and reads h! off the table of
+0!, ..., ell! that _squares_by_rows builds by one running product.  For k = 2
+the classical bijection sends each 321-avoiding permutation to a monotone path
 weakly below the diagonal, implemented here in both directions.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from math import factorial
+from operator import mul
 
 
 def parse_perm(text: str) -> tuple[int, ...]:
@@ -53,18 +54,18 @@ def longest_decreasing(w) -> int:
     return len(tails)
 
 
-def _squares_by_rows(ell, max_rows, fact):
+def _squares_by_rows(ell, max_rows):
     """by_rows[r] = sum of (f^lambda)^2 over the shapes lambda of ell with
     exactly r rows, r <= min(max_rows, ell), as no shape of ell has more
     rows.  A shape lambda_0 >= ... >= lambda_{r-1} >= 1 is fixed by its
     first-column hooks h_i = lambda_i + r - 1 - i, which fall strictly to
     h_{r-1} >= 1 and sum to ell + r(r-1)/2, and the hook formula reads
     f^lambda = ell! * prod_{i<j} (h_i - h_j) / prod_i h_i!.  One walk per r
-    picks the hooks from the last row up, one level per row."""
-    by_rows = [0]
-    for r in range(1, min(max_rows, ell) + 1):
-        by_rows.append(_hook_walk(fact, r, ell + r * (r - 1) // 2, (), fact[ell], 1))
-    return by_rows
+    picks the hooks from the last row up, one level per row, reading each h!
+    off 0!, ..., ell!, built here by one running product, as h <= h_0 <= ell."""
+    fact = list(accumulate(range(1, ell + 1), mul, initial=1))
+    rows = range(1, min(max_rows, ell) + 1)
+    return [0] + [_hook_walk(fact, r, ell + r * (r - 1) // 2, (), fact[ell], 1) for r in rows]
 
 
 def _hook_walk(fact, left, total, hooks, numerator, denominator):
@@ -98,7 +99,7 @@ def count_avoiding(ell: int, k: int) -> int:
     its first-column hooks, from a walk at most min(k, ell) levels deep."""
     if ell < 1 or k < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
-    return sum(_squares_by_rows(ell, k, [factorial(i) for i in range(ell + 1)]))
+    return sum(_squares_by_rows(ell, k))
 
 
 def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
@@ -108,10 +109,9 @@ def count_avoiding_grid(ell_max: int, k_max: int) -> dict[tuple[int, int], int]:
     cell k > ell holds them all."""
     if ell_max < 1 or k_max < 1:
         raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell_max}, k={k_max}")
-    fact = [factorial(i) for i in range(ell_max + 1)]
     grid: dict[tuple[int, int], int] = {}
     for ell in range(1, ell_max + 1):
-        sums = list(accumulate(_squares_by_rows(ell, k_max, fact)))
+        sums = list(accumulate(_squares_by_rows(ell, k_max)))
         for k in range(1, k_max + 1):
             grid[ell, k] = sums[min(k, ell)]
     return grid

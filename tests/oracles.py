@@ -536,6 +536,132 @@ def gessel_4321_avoiders(ell):
     return q
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def is_prime_by_miller_rabin(q):
+    """Miller-Rabin with the twelve prime bases 2 ... 37.  It is exact, not
+    probabilistic, below 318665857834031151167461, the least composite that
+    passes all twelve (Sorenson and Webster, Math. Comp. 86, 2017); larger q
+    are refused.
+
+    Picks the primes of `mult_by_gessel`; checked against trial division and
+    on known primes and strong pseudoprimes in
+    test_patterns::test_miller_rabin_is_exact.
+    """
+    if q >= _MR_EXACT_BELOW:
+        raise ValueError(f"twelve bases are exact only below {_MR_EXACT_BELOW}, got {q}")
+    if q < 2:
+        return False
+    for a in _MR_BASES:
+        if q % a == 0:
+            return q == a
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _series_mul(a, b, p):
+    """a * b mod (x^len(a), p) for coefficient lists of one length, by
+    Kronecker substitution: each list is packed into one integer with slots
+    wide enough for a full sum of products, multiplied once, and unpacked."""
+    n = len(a)
+    w = (2 * p.bit_length() + n.bit_length() + 7) // 8
+    packed_a, packed_b = (
+        int.from_bytes(b"".join(c.to_bytes(w, "little") for c in s), "little") for s in (a, b)
+    )
+    raw = (packed_a * packed_b).to_bytes(2 * n * w, "little")
+    return [int.from_bytes(raw[i * w : (i + 1) * w], "little") % p for i in range(n)]
+
+
+def _series_inverse(a, p):
+    """1 / a mod (x^len(a), p) for a unit series a, by Newton's iteration
+    g <- g (2 - a g), which doubles the number of correct terms."""
+    n = len(a)
+    g = [pow(a[0], -1, p)] + [0] * (n - 1)
+    for _ in range(n.bit_length()):
+        ag = _series_mul(a, g, p)
+        g = _series_mul(g, [(2 - ag[0]) % p] + [-c % p for c in ag[1:]], p)
+    return g
+
+
+def _gessel_mod(ell, k, p):
+    """`mult_by_gessel(ell, k)` mod the prime p > 2 ell."""
+    n = 2 * ell + 1
+    fact = list(itertools.accumulate(range(1, n), lambda f, i: f * i % p, initial=1))
+    inv_fact = [pow(f, -1, p) for f in fact]
+
+    def bessel(m):  # I_m(2x) = sum_j x^(2j+m) / (j! (j+m)!), cut after x^(2 ell)
+        c = [0] * n
+        for j in range((n - 1 - m) // 2 + 1):
+            c[2 * j + m] = inv_fact[j] * inv_fact[j + m] % p
+        return c
+
+    series = [bessel(m) for m in range(k)]
+    rows = [[series[abs(i - j)] for j in range(k)] for i in range(k)]
+    det = [1] + [0] * (n - 1)
+    for i in range(k):
+        # the constant terms stay the identity matrix, so every pivot is a unit
+        pivot = rows[i][i]
+        det = _series_mul(det, pivot, p)
+        inv = _series_inverse(pivot, p)
+        row = [_series_mul(e, inv, p) for e in rows[i][i + 1 :]]
+        for r in range(i + 1, k):
+            f = rows[r][i]
+            rows[r][i + 1 :] = [
+                [(x - y) % p for x, y in zip(e, _series_mul(f, g, p))]
+                for e, g in zip(rows[r][i + 1 :], row)
+            ]
+    return det[2 * ell] * fact[ell] ** 2 % p
+
+
+def mult_by_gessel(ell, k):
+    """The permutations of 1..ell with no decreasing subsequence longer than
+    k, by Gessel's determinant (JCTA 53, 1990):
+
+        sum_n u_k(n) x^(2n) / n!^2 = det[I_(i-j)(2x)]_(i,j=1..k),
+        I_m(2x) = sum_j x^(2j+|m|) / (j! (j+|m|)!),
+
+    where u_k(n) counts the permutations of n with no increasing
+    subsequence longer than k, as many as those with no decreasing one by
+    reversal.  So the count is ell!^2 [x^(2 ell)] of a k x k determinant of
+    power series.  It is computed modulo primes just above 2^61 (exact
+    Miller-Rabin), by elimination over series in x, not in x^2: the odd
+    I_m are not series in x^2, and in x the constant terms form the identity
+    matrix, so every pivot is a unit.  Series multiply by Kronecker
+    substitution, and the residues are recombined by the Chinese remainder
+    theorem until the modulus passes ell!, which bounds the count.  It uses
+    no partitions, no tableaux and no lattice paths.
+
+    Checks the multiplicity conjecture's count on both routes, `count_T`
+    and `count_avoiding`, in test_patterns::test_gessel_determinant_equals_both_routes
+    and in CI at (60, 10), with the patterns route at (80, 10).
+    """
+    if ell < 1 or k < 1:
+        raise ValueError(f"need ell >= 1 and k >= 1, got ell={ell}, k={k}")
+    bound, value, modulus, p = math.factorial(ell), 0, 1, 2**61
+    while modulus <= bound:
+        p += 1
+        if not is_prime_by_miller_rabin(p):
+            continue
+        r = _gessel_mod(ell, k, p)
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value
+
+
 def rsk(w):
     """Robinson-Schensted row insertion of a permutation w of 1..ell: the
     pair (P, Q) of standard tableaux of one shape, as lists of rows.  Each

@@ -20,6 +20,8 @@ from oracles import (
     count_avoiding_bruteforce,
     count_by_patience_sorting,
     inverse_rsk,
+    is_prime_by_miller_rabin,
+    mult_by_gessel,
     rsk,
     squares_by_rows_by_hooks,
 )
@@ -105,11 +107,10 @@ def test_squares_by_rows_match_cell_hooks():
     # count_avoiding_grid sums this per-row split up to each k; the
     # reference takes every f^lambda from the hooks of all cells of a shape
     # listed by recursion, not from a walk over first-column hooks
-    fact = [math.factorial(i) for i in range(19)]
     for ell in range(1, 19):
         for max_rows in range(1, ell + 2):
             want = squares_by_rows_by_hooks(ell, max_rows)
-            assert _squares_by_rows(ell, max_rows, fact) == want, (ell, max_rows)
+            assert _squares_by_rows(ell, max_rows) == want, (ell, max_rows)
 
 
 def test_count_avoiding_values():
@@ -130,9 +131,18 @@ def test_count_avoiding_at_huge_k():
 
 
 def test_count_avoiding_catalan_for_one_forbidden_letter():
-    for ell in range(1, 11):
+    # the paper's k = 2 theorem, on small cells and far past them
+    for ell in [*range(1, 11), 2000]:
         catalan = math.comb(2 * ell, ell) // (ell + 1)
         assert count_avoiding(ell, 2) == catalan
+
+
+def test_count_avoiding_builds_its_factorial_table_by_one_running_product():
+    # k = 1 is one shape, the single row, so the call is little more than
+    # building 0!, ..., 3000!, which one running product does in milliseconds
+    start = time.process_time()
+    assert count_avoiding(3000, 1) == 1
+    assert time.process_time() - start < 0.1
 
 
 def test_hook_count_matches_bruteforce():
@@ -162,6 +172,35 @@ def test_count_avoiding_counts_permutations():
         want = count_by_patience_sorting(ell, k)
         assert count_avoiding(ell, k) == count_T(ell, k) == want, (ell, k)
     assert time.time() - t0 < 5.0
+
+
+def test_miller_rabin_is_exact():
+    # trial division below 3000; 2^61 - 1 and 2^64 - 59 are prime;
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes the bases
+    # 2 ... 23 and must be caught by 29, 31 or 37; past the proved range the
+    # test refuses
+    primes = [q for q in range(3000) if q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))]
+    assert [q for q in range(3000) if is_prime_by_miller_rabin(q)] == primes
+    assert is_prime_by_miller_rabin(2**61 - 1)
+    assert is_prime_by_miller_rabin(2**64 - 59)
+    assert not is_prime_by_miller_rabin(3825123056546413051)
+    with pytest.raises(ValueError):
+        is_prime_by_miller_rabin(318665857834031151167461)
+
+
+def test_gessel_determinant_equals_both_routes():
+    # claim: the paths and patterns routes both count the permutations with
+    # no decreasing subsequence longer than k; Gessel's determinant of
+    # Bessel series counts them with no partitions, tableaux or paths, so
+    # it is independent of the one sum the two routes share
+    cells = [(ell, k) for ell in range(1, 13) for k in range(1, 7)]
+    spent = 0.0
+    for ell, k in cells + [(30, 6), (40, 8), (42, 5)]:
+        start = time.process_time()
+        got = mult_by_gessel(ell, k)
+        spent += time.process_time() - start
+        assert got == count_T(ell, k) == count_avoiding(ell, k), (ell, k)
+    assert spent < 3
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,9 @@
 import doctest
+import re
 import shlex
 from pathlib import Path
 
+import oracles
 from kacmax.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -48,3 +50,18 @@ def test_readme_cli_examples(capsys):
             assert out[len(out) - len(tail) :] == tail, argv
         else:
             assert out == shown, argv
+
+
+def test_ledger_names_only_existing_oracles():
+    # every name in the ledger's oracle column is a function of tests/oracles.py
+    lines = README.read_text().splitlines()
+    start = lines.index("| claim | oracle | argument | tier-1, largest cells | CI, largest cells |")
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append(line)
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row.split(" | ")[1])]
+    assert len(rows) >= 11 and "mult_by_gessel" in names
+    missing = [name for name in names if not callable(getattr(oracles, name, None))]
+    assert not missing, missing
